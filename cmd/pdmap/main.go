@@ -9,6 +9,7 @@
 //
 //	pdmap -file prog.idn -entry gs_iteration -procs 8
 //	pdmap -gs -procs 4 -D N=16 -json
+//	pdmap -gs -procs 8 -D N=64 -cpuprofile cpu.out -memprofile mem.out
 //
 // The report is deterministic: identical searches emit identical bytes. A
 // modeled candidate whose measured makespan differs from its prediction is an
@@ -25,6 +26,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -50,7 +53,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("pdmap", flag.ContinueOnError)
 	var (
 		file     = fs.String("file", "", "Idn source file (default: stdin)")
@@ -70,12 +73,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		warm     = fs.String("warm", "", "warm-start from a previous run: a pdmap JSON report whose winner seeds the branch-and-bound prune")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON instead of text")
 		htmlOut  = fs.String("html", "", "also write a self-contained HTML report to this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 		defines  defineFlag
 	)
 	fs.Var(&defines, "D", "override a constant, e.g. -D N=64 (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 
 	var src, name string
 	switch {
@@ -158,6 +172,43 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	_, err = io.WriteString(stdout, rep.Format())
 	return err
+}
+
+// startProfiles starts a CPU profile when cpu names a file and returns the
+// function that ends it and writes the heap profile to mem (if named). Both
+// are runtime/pprof profiles for `go tool pprof`.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // up-to-date statistics
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // warmSeed extracts the winning mapping from a previous run's JSON report —

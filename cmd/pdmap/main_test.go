@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -56,5 +58,24 @@ func TestBadInvocations(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-gs", "-kinds", "bogus", "-D", "N=8"}, &buf); err == nil {
 		t.Error("unknown -kinds entry accepted")
+	}
+}
+
+// -cpuprofile and -memprofile write non-empty pprof files around a search.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	var buf bytes.Buffer
+	args := []string{"-gs", "-procs", "4", "-D", "N=8", "-topk", "2", "-cpuprofile", cpu, "-memprofile", mem}
+	if err := run(context.Background(), args, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: missing or empty profile (%v)", path, err)
+		}
+	}
+	if err := run(context.Background(), []string{"-gs", "-cpuprofile", filepath.Join(dir, "no", "such", "cpu.out")}, &buf); err == nil {
+		t.Error("unwritable -cpuprofile accepted")
 	}
 }

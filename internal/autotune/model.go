@@ -26,6 +26,25 @@ import (
 // mailbox semantics. Replaying the matched DAG under the machine's cost
 // recurrence — the identical recurrence analysis.(*Dump).Predict uses —
 // yields the predicted makespan, exact whenever the walk succeeded.
+//
+// The walker never interprets the spmd tree directly. BuildProfile first
+// lowers each program once (lower): every variable name becomes an integer
+// slot, every integer expression is compiled over those slots
+// (expr.Compile), and every statement's operation charge (vexprOps plus
+// subscript costs) is precomputed. The run-time resolution program is
+// generic, so it is lowered once and shared by all S walkers; each walker
+// keeps only its own slot values. Evaluation stays at the program point the
+// interpreter evaluates at, so control flow, charges and error order are the
+// interpreter's. Two devices keep it cheap and exact:
+//
+//   - A stamp memo. Every slot write (assignment, loop step, a value turning
+//     unknown) takes a fresh stamp from the walker's clock; a compiled
+//     expression's last value is reused only while none of its input slots
+//     carries a stamp newer than the value. Failures are never cached.
+//   - A slow path for failures. When a compiled expression fails, the walker
+//     re-runs the source expression's expr.Eval over an environment rebuilt
+//     from the known slots, so an ErrUnmodeled reason reads exactly as the
+//     name-keyed evaluation words it.
 
 // ErrUnmodeled reports a program whose control flow the static walk cannot
 // decide (a branch on a computed data value). Candidates that hit it fall
@@ -40,19 +59,20 @@ func (e *ErrUnmodeled) Error() string {
 }
 
 const (
-	actCompute = iota
+	actCompute uint8 = iota
 	actSend
 	actRecv
 )
 
-// action is one step of a process's abstract execution.
+// action is one step of a process's abstract execution. Profiles run to
+// 10^5 actions per candidate, so the fields are packed into 32 bytes.
 type action struct {
-	kind   int
 	dur    uint64 // compute: accumulated cycles
-	peer   int    // send: destination; recv: source
 	tag    int64
-	values int // send: values carried; recv: expected (-1 = any), then matched
-	seq    int // per-(src,dst,tag) channel sequence, filled by matching
+	peer   int32 // send: destination; recv: source
+	values int32 // send: values carried; recv: expected (-1 = any), then matched
+	seq    int32 // per-(src,dst,tag) channel sequence, filled by matching
+	kind   uint8
 }
 
 // Profile is the abstract execution of all processes: the statically derived
@@ -74,16 +94,17 @@ type chanKey struct {
 
 type msgID struct {
 	ch  chanKey
-	seq int
+	seq int32
 }
 
 // BuildProfile walks the compiled programs (one generic or cfg.Procs
 // specialized, as exec.RunSPMD accepts them) and returns the matched profile.
 func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
-	pick := func(p int) *spmd.Program { return progs[p] }
+	pick := func(p int) *lprog { return lower(progs[p]) }
 	switch {
 	case len(progs) == 1 && progs[0].Proc < 0:
-		pick = func(int) *spmd.Program { return progs[0] }
+		generic := lower(progs[0])
+		pick = func(int) *lprog { return generic }
 	case len(progs) == cfg.Procs:
 		for i, pr := range progs {
 			if pr.Proc != i {
@@ -95,8 +116,12 @@ func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
 	}
 	pf := &Profile{Procs: cfg.Procs, Acts: make([][]action, cfg.Procs)}
 	for p := 0; p < cfg.Procs; p++ {
-		w := newWalker(p, cfg)
-		if err := w.stmts(pick(p).Body); err != nil {
+		w := newWalker(p, cfg, pick(p))
+		if p > 0 {
+			// Processes run near-identical action counts; start at the last.
+			w.acts = make([]action, 0, len(pf.Acts[p-1]))
+		}
+		if err := w.stmts(w.prog.body); err != nil {
 			return nil, err
 		}
 		w.flush()
@@ -118,13 +143,13 @@ func (pf *Profile) match() error {
 			a := &pf.Acts[p][i]
 			switch a.kind {
 			case actSend:
-				k := chanKey{src: p, dst: a.peer, tag: a.tag}
-				a.seq = len(sends[k])
+				k := chanKey{src: p, dst: int(a.peer), tag: a.tag}
+				a.seq = int32(len(sends[k]))
 				sends[k] = append(sends[k], a)
 				pf.Messages++
 				pf.Values += int64(a.values)
 			case actRecv:
-				k := chanKey{src: a.peer, dst: p, tag: a.tag}
+				k := chanKey{src: int(a.peer), dst: p, tag: a.tag}
 				recvs[k] = append(recvs[k], a)
 			}
 		}
@@ -141,7 +166,7 @@ func (pf *Profile) match() error {
 					k.src, k.dst, k.tag, r.values, ss[i].values)
 			}
 			r.values = ss[i].values
-			r.seq = i
+			r.seq = int32(i)
 		}
 	}
 	return nil
@@ -195,7 +220,7 @@ func (pf *Profile) Predict(cfg machine.Config) (uint64, error) {
 				a := pf.Acts[p][idx[p]]
 				switch a.kind {
 				case actRecv:
-					rel, ok := released[msgID{ch: chanKey{src: a.peer, dst: p, tag: a.tag}, seq: a.seq}]
+					rel, ok := released[msgID{ch: chanKey{src: int(a.peer), dst: p, tag: a.tag}, seq: a.seq}]
 					if !ok {
 						goto next // sender has not reached this message yet
 					}
@@ -205,7 +230,7 @@ func (pf *Profile) Predict(cfg machine.Config) (uint64, error) {
 					clocks[p] += cfg.RecvStartup + uint64(a.values)*cfg.PerValue
 				case actSend:
 					clocks[p] += cfg.SendStartup + uint64(a.values)*cfg.PerValue
-					released[msgID{ch: chanKey{src: p, dst: a.peer, tag: a.tag}, seq: a.seq}] = clocks[p] + cfg.Latency
+					released[msgID{ch: chanKey{src: p, dst: int(a.peer), tag: a.tag}, seq: a.seq}] = clocks[p] + cfg.Latency
 				default:
 					clocks[p] += a.dur
 				}
@@ -233,21 +258,218 @@ func (pf *Profile) Predict(cfg machine.Config) (uint64, error) {
 	return makespan, nil
 }
 
-// walker is the per-process abstract interpreter.
+// indexCost is exec's flat subscript charge.
+const indexCost = 2
+
+// lprog is one spmd.Program lowered for the walker.
+type lprog struct {
+	body  []lstmt
+	names []string // slot -> variable name
+	exprs int      // memoized expressions, the size of a walker's memo
+}
+
+type lkind uint8
+
+const (
+	lAssign  lkind = iota // AssignVar, AssignIVar
+	lAccess               // array or buffer element read/write
+	lSend                 // Send
+	lRecv                 // Recv
+	lSendBuf              // SendBuf
+	lRecvBuf              // RecvBuf
+	lCoerce               // Coerce
+	lFor                  // For
+	lGuard                // Guard
+	lIf                   // IfValue
+	lBad                  // a statement the walker cannot model
+)
+
+// lstmt is one lowered statement. Fields a kind does not use stay zero.
+type lstmt struct {
+	kind lkind
+	ops  int64 // operations charged on entry: vexprOps and subscripts
+	// slot is the variable the statement writes: assignment target, loop
+	// variable, or the destination a read or receive leaves unknown (-1
+	// for none).
+	slot      int
+	tag       int64
+	val       *lval     // assigned value or branch condition
+	x, y, z   *lexpr    // For lo/hi/step; peer/lo/hi; Coerce owner/needer; Guard proc
+	body, els []lstmt   // For/Guard body; IfValue then/else
+	src       spmd.Stmt // Coerce roles, block buffer names, diagnostics
+}
+
+// lexpr is a compiled integer expression. id indexes the walker's memo;
+// constants (id < 0) carry their value.
+type lexpr struct {
+	src  expr.Expr
+	code expr.Compiled
+	id   int
+	val  int64
+}
+
+const (
+	vConst uint8 = iota
+	vVar
+	vInt
+	vBin
+	vUn
+	vOther // a value expression the walker treats as unknown
+)
+
+// lval is a lowered data-value expression.
+type lval struct {
+	kind uint8
+	f    float64 // vConst
+	slot int     // vVar
+	x    *lexpr  // vInt
+	op   lang.Op
+	l, r *lval // vBin operands; vUn's operand is l
+}
+
+// meSlot is the slot of spmd.Me in every lowered program.
+const meSlot = 0
+
+// lower resolves p's variables to slots and compiles its expressions.
+func lower(p *spmd.Program) *lprog {
+	l := &lowerer{slots: map[string]int{}}
+	l.slot(spmd.Me) // meSlot
+	body := l.stmts(p.Body)
+	return &lprog{body: body, names: l.names, exprs: l.exprs}
+}
+
+type lowerer struct {
+	slots map[string]int
+	names []string
+	exprs int
+}
+
+func (l *lowerer) slot(name string) int {
+	s, ok := l.slots[name]
+	if !ok {
+		s = len(l.names)
+		l.slots[name] = s
+		l.names = append(l.names, name)
+	}
+	return s
+}
+
+func (l *lowerer) expr(e expr.Expr) *lexpr {
+	if v, ok := e.ConstVal(); ok {
+		return &lexpr{src: e, id: -1, val: v}
+	}
+	x := &lexpr{src: e, code: e.Compile(l.slot), id: l.exprs}
+	l.exprs++
+	return x
+}
+
+func (l *lowerer) val(v spmd.VExpr) *lval {
+	switch v := v.(type) {
+	case spmd.VConst:
+		return &lval{kind: vConst, f: v.F}
+	case spmd.VVar:
+		return &lval{kind: vVar, slot: l.slot(v.Name)}
+	case spmd.VInt:
+		return &lval{kind: vInt, x: l.expr(v.X)}
+	case spmd.VBin:
+		return &lval{kind: vBin, op: v.Op, l: l.val(v.L), r: l.val(v.R)}
+	case spmd.VUn:
+		return &lval{kind: vUn, op: v.Op, l: l.val(v.X)}
+	default:
+		return &lval{kind: vOther}
+	}
+}
+
+// vexprOps mirrors exec.vexprOps: operator nodes cost one op each.
+func vexprOps(v spmd.VExpr) int64 {
+	switch v := v.(type) {
+	case spmd.VBin:
+		return 1 + vexprOps(v.L) + vexprOps(v.R)
+	case spmd.VUn:
+		return 1 + vexprOps(v.X)
+	default:
+		return 0
+	}
+}
+
+func (l *lowerer) stmts(body []spmd.Stmt) []lstmt {
+	out := make([]lstmt, 0, len(body))
+	for _, s := range body {
+		switch s := s.(type) {
+		case *spmd.Alloc, *spmd.AllocBuf:
+			// Allocation is uncharged in the interpreter.
+		case *spmd.AssignVar:
+			out = append(out, lstmt{kind: lAssign, ops: vexprOps(s.Val), slot: l.slot(s.Name), val: l.val(s.Val)})
+		case *spmd.AssignIVar:
+			out = append(out, lstmt{kind: lAssign, ops: vexprOps(s.Val), slot: l.slot(s.Name), val: l.val(s.Val)})
+		case *spmd.ARead:
+			out = append(out, lstmt{kind: lAccess, ops: indexCost, slot: l.slot(s.Dst)}) // array contents are data
+		case *spmd.AWrite:
+			out = append(out, lstmt{kind: lAccess, ops: indexCost + vexprOps(s.Val), slot: -1})
+		case *spmd.BufRead:
+			out = append(out, lstmt{kind: lAccess, ops: indexCost, slot: l.slot(s.Dst)})
+		case *spmd.BufWrite:
+			out = append(out, lstmt{kind: lAccess, ops: indexCost + vexprOps(s.Val), slot: -1})
+		case *spmd.Send:
+			out = append(out, lstmt{kind: lSend, ops: vexprOps(s.Val), x: l.expr(s.Dst), tag: s.Tag})
+		case *spmd.Recv:
+			out = append(out, lstmt{kind: lRecv, x: l.expr(s.Src), tag: s.Tag, slot: l.slot(s.Dst)})
+		case *spmd.SendBuf:
+			out = append(out, lstmt{kind: lSendBuf, x: l.expr(s.Dst), y: l.expr(s.Lo), z: l.expr(s.Hi), tag: s.Tag, src: s})
+		case *spmd.RecvBuf:
+			out = append(out, lstmt{kind: lRecvBuf, x: l.expr(s.Src), y: l.expr(s.Lo), z: l.expr(s.Hi), tag: s.Tag, src: s})
+		case *spmd.Coerce:
+			out = append(out, lstmt{kind: lCoerce, x: l.expr(s.Owner), y: l.expr(s.Needer), tag: s.Tag,
+				slot: l.slot(s.Dst), src: s})
+		case *spmd.For:
+			out = append(out, lstmt{kind: lFor, slot: l.slot(s.Var), x: l.expr(s.Lo), y: l.expr(s.Hi), z: l.expr(s.Step),
+				body: l.stmts(s.Body)})
+		case *spmd.Guard:
+			out = append(out, lstmt{kind: lGuard, x: l.expr(s.Proc), body: l.stmts(s.Body)})
+		case *spmd.IfValue:
+			out = append(out, lstmt{kind: lIf, ops: vexprOps(s.Cond), val: l.val(s.Cond),
+				body: l.stmts(s.Then), els: l.stmts(s.Else)})
+		default:
+			out = append(out, lstmt{kind: lBad, src: s})
+		}
+	}
+	return out
+}
+
+// walker is the per-process abstract interpreter over a lowered program.
 type walker struct {
 	me    int64
 	procs int
 	cfg   machine.Config
-	env   expr.Env           // integer view: me, loop vars, known assignments
-	vals  map[string]float64 // known variable values
-	acts  []action
-	acc   uint64 // pending compute cycles, flushed before sends/receives
+	prog  *lprog
+	// Per slot: the integer view (me, loop variables, known assignments)
+	// and the known data value. They change together, except that me has
+	// an integer value but no data value.
+	ivals  []int64
+	iknown []bool
+	fvals  []float64
+	fknown []bool
+	stamp  []uint64 // clock of the slot's last write
+	clock  uint64
+	memo   []memo // by lexpr.id
+	acts   []action
+	acc    uint64 // pending compute cycles, flushed before sends/receives
 }
 
-func newWalker(me int, cfg machine.Config) *walker {
-	w := &walker{me: int64(me), procs: cfg.Procs, cfg: cfg,
-		env: expr.Env{}, vals: map[string]float64{}}
-	w.env[spmd.Me] = int64(me)
+// memo is an expression's last successful value and the clock it was
+// computed at (0 = never).
+type memo struct {
+	val int64
+	at  uint64
+}
+
+func newWalker(me int, cfg machine.Config, prog *lprog) *walker {
+	n := len(prog.names)
+	w := &walker{me: int64(me), procs: cfg.Procs, cfg: cfg, prog: prog,
+		ivals: make([]int64, n), iknown: make([]bool, n),
+		fvals: make([]float64, n), fknown: make([]bool, n),
+		stamp: make([]uint64, n), clock: 1, memo: make([]memo, prog.exprs)}
+	w.ivals[meSlot], w.iknown[meSlot] = int64(me), true
 	return w
 }
 
@@ -268,40 +490,83 @@ func (w *walker) flush() {
 	}
 }
 
-func (w *walker) send(dst int, tag int64, values int) error {
-	if dst < 0 || dst >= w.procs {
+func (w *walker) send(dst int64, tag int64, values int64) error {
+	if dst < 0 || dst >= int64(w.procs) {
 		return w.failf("send to processor %d out of range [0,%d)", dst, w.procs)
 	}
 	w.flush()
-	w.acts = append(w.acts, action{kind: actSend, peer: dst, tag: tag, values: values})
+	w.acts = append(w.acts, action{kind: actSend, peer: int32(dst), tag: tag, values: int32(values)})
 	return nil
 }
 
-func (w *walker) recv(src int, tag int64, expect int) error {
-	if src < 0 || src >= w.procs {
+func (w *walker) recv(src int64, tag int64, expect int64) error {
+	if src < 0 || src >= int64(w.procs) {
 		return w.failf("recv from processor %d out of range [0,%d)", src, w.procs)
 	}
 	w.flush()
-	w.acts = append(w.acts, action{kind: actRecv, peer: src, tag: tag, values: expect})
+	w.acts = append(w.acts, action{kind: actRecv, peer: int32(src), tag: tag, values: int32(expect)})
 	return nil
 }
 
+// write stamps slot s as changed.
+func (w *walker) write(s int) {
+	w.clock++
+	w.stamp[s] = w.clock
+}
+
 // setVar mirrors exec's setVar for a statically known value.
-func (w *walker) setVar(name string, v float64) {
-	w.vals[name] = v
-	w.env[name] = int64(v)
+func (w *walker) setVar(s int, v float64) {
+	w.fvals[s], w.fknown[s] = v, true
+	w.ivals[s], w.iknown[s] = int64(v), true
+	w.write(s)
 }
 
 // setUnknown marks a variable as data-dependent: later integer expressions
 // that mention it will fail to evaluate, surfacing as ErrUnmodeled.
-func (w *walker) setUnknown(name string) {
-	delete(w.vals, name)
-	delete(w.env, name)
+func (w *walker) setUnknown(s int) {
+	w.fknown[s], w.iknown[s] = false, false
+	w.write(s)
 }
 
-// intOf evaluates a control expression over the integer environment.
-func (w *walker) intOf(e expr.Expr) (int64, error) {
-	v, err := e.Eval(w.env)
+// eval evaluates a compiled integer expression, reusing the memoized value
+// while none of its inputs has been written since.
+func (w *walker) eval(x *lexpr) (int64, bool) {
+	if x.id < 0 {
+		return x.val, true
+	}
+	m := &w.memo[x.id]
+	if m.at != 0 {
+		fresh := true
+		for _, s := range x.code.Slots() {
+			if w.stamp[s] > m.at {
+				fresh = false
+				break
+			}
+		}
+		if fresh {
+			return m.val, true
+		}
+	}
+	v, ok := x.code.Eval(w.ivals, w.iknown)
+	if ok {
+		*m = memo{val: v, at: w.clock}
+	}
+	return v, ok
+}
+
+// intOf evaluates a control expression. On failure it re-runs the source
+// expression's Eval over the known slots for the exact error.
+func (w *walker) intOf(x *lexpr) (int64, error) {
+	if v, ok := w.eval(x); ok {
+		return v, nil
+	}
+	env := expr.Env{}
+	for s, known := range w.iknown {
+		if known {
+			env[w.prog.names[s]] = w.ivals[s]
+		}
+	}
+	v, err := x.src.Eval(env)
 	if err != nil {
 		return 0, w.failf("%v", err)
 	}
@@ -309,37 +574,33 @@ func (w *walker) intOf(e expr.Expr) (int64, error) {
 }
 
 // evalV evaluates a value expression if every input is statically known.
-func (w *walker) evalV(v spmd.VExpr) (float64, bool) {
-	switch v := v.(type) {
-	case spmd.VConst:
-		return v.F, true
-	case spmd.VVar:
-		val, ok := w.vals[v.Name]
-		return val, ok
-	case spmd.VInt:
-		i, err := v.X.Eval(w.env)
-		if err != nil {
-			return 0, false
-		}
-		return float64(i), true
-	case spmd.VBin:
-		l, ok := w.evalV(v.L)
+func (w *walker) evalV(v *lval) (float64, bool) {
+	switch v.kind {
+	case vConst:
+		return v.f, true
+	case vVar:
+		return w.fvals[v.slot], w.fknown[v.slot]
+	case vInt:
+		i, ok := w.eval(v.x)
+		return float64(i), ok
+	case vBin:
+		l, ok := w.evalV(v.l)
 		if !ok {
 			return 0, false
 		}
-		r, ok := w.evalV(v.R)
+		r, ok := w.evalV(v.r)
 		if !ok {
 			return 0, false
 		}
 		bad := false
-		res := exec.EvalBin(v.Op, l, r, func(string) { bad = true })
+		res := exec.EvalBin(v.op, l, r, func(string) { bad = true })
 		return res, !bad
-	case spmd.VUn:
-		x, ok := w.evalV(v.X)
+	case vUn:
+		x, ok := w.evalV(v.l)
 		if !ok {
 			return 0, false
 		}
-		if v.Op == lang.OpNeg {
+		if v.op == lang.OpNeg {
 			return -x, true
 		}
 		if x != 0 {
@@ -351,21 +612,9 @@ func (w *walker) evalV(v spmd.VExpr) (float64, bool) {
 	}
 }
 
-// vexprOps mirrors exec.vexprOps: operator nodes cost one op each.
-func vexprOps(v spmd.VExpr) int64 {
-	switch v := v.(type) {
-	case spmd.VBin:
-		return 1 + vexprOps(v.L) + vexprOps(v.R)
-	case spmd.VUn:
-		return 1 + vexprOps(v.X)
-	default:
-		return 0
-	}
-}
-
-func (w *walker) stmts(body []spmd.Stmt) error {
-	for _, s := range body {
-		if err := w.stmt(s); err != nil {
+func (w *walker) stmts(body []lstmt) error {
+	for i := range body {
+		if err := w.stmt(&body[i]); err != nil {
 			return err
 		}
 	}
@@ -373,109 +622,75 @@ func (w *walker) stmts(body []spmd.Stmt) error {
 }
 
 // stmt mirrors exec.(*pstate).stmt charge for charge.
-func (w *walker) stmt(s spmd.Stmt) error {
-	const indexCost = 2 // exec's flat subscript charge
-	switch s := s.(type) {
-	case *spmd.Alloc, *spmd.AllocBuf:
-		// Allocation is uncharged in the interpreter.
-		return nil
-	case *spmd.AssignVar:
-		w.ops(vexprOps(s.Val))
-		if v, ok := w.evalV(s.Val); ok {
-			w.setVar(s.Name, v)
+func (w *walker) stmt(s *lstmt) error {
+	switch s.kind {
+	case lAssign:
+		w.ops(s.ops)
+		if v, ok := w.evalV(s.val); ok {
+			w.setVar(s.slot, v)
 		} else {
-			w.setUnknown(s.Name)
+			w.setUnknown(s.slot)
 		}
 		return nil
-	case *spmd.AssignIVar:
-		w.ops(vexprOps(s.Val))
-		if v, ok := w.evalV(s.Val); ok {
-			w.setVar(s.Name, v)
-		} else {
-			w.setUnknown(s.Name)
-		}
-		return nil
-	case *spmd.ARead:
-		w.ops(indexCost)
+	case lAccess:
+		w.ops(s.ops)
 		w.mem(1)
-		w.setUnknown(s.Dst) // array contents are data
+		if s.slot >= 0 {
+			w.setUnknown(s.slot)
+		}
 		return nil
-	case *spmd.AWrite:
-		w.ops(indexCost + vexprOps(s.Val))
-		w.mem(1)
-		return nil
-	case *spmd.BufRead:
-		w.ops(indexCost)
-		w.mem(1)
-		w.setUnknown(s.Dst)
-		return nil
-	case *spmd.BufWrite:
-		w.ops(indexCost + vexprOps(s.Val))
-		w.mem(1)
-		return nil
-	case *spmd.Send:
-		w.ops(vexprOps(s.Val))
-		dst, err := w.intOf(s.Dst)
+	case lSend:
+		w.ops(s.ops)
+		dst, err := w.intOf(s.x)
 		if err != nil {
 			return err
 		}
-		return w.send(int(dst), s.Tag, 1)
-	case *spmd.Recv:
-		src, err := w.intOf(s.Src)
+		return w.send(dst, s.tag, 1)
+	case lRecv:
+		src, err := w.intOf(s.x)
 		if err != nil {
 			return err
 		}
-		if err := w.recv(int(src), s.Tag, 1); err != nil {
+		if err := w.recv(src, s.tag, 1); err != nil {
 			return err
 		}
-		w.setUnknown(s.Dst)
+		w.setUnknown(s.slot)
 		return nil
-	case *spmd.SendBuf:
-		dst, err := w.intOf(s.Dst)
+	case lSendBuf, lRecvBuf:
+		peer, err := w.intOf(s.x)
 		if err != nil {
 			return err
 		}
-		lo, err := w.intOf(s.Lo)
+		lo, err := w.intOf(s.y)
 		if err != nil {
 			return err
 		}
-		hi, err := w.intOf(s.Hi)
+		hi, err := w.intOf(s.z)
 		if err != nil {
 			return err
+		}
+		if s.kind == lSendBuf {
+			if hi < lo {
+				return w.failf("block send of %s[%d..%d]", s.src.(*spmd.SendBuf).Buf, lo, hi)
+			}
+			return w.send(peer, s.tag, hi-lo+1)
 		}
 		if hi < lo {
-			return w.failf("block send of %s[%d..%d]", s.Buf, lo, hi)
+			return w.failf("block receive into %s[%d..%d]", s.src.(*spmd.RecvBuf).Buf, lo, hi)
 		}
-		return w.send(int(dst), s.Tag, int(hi-lo+1))
-	case *spmd.RecvBuf:
-		src, err := w.intOf(s.Src)
+		return w.recv(peer, s.tag, hi-lo+1)
+	case lCoerce:
+		return w.coerce(s)
+	case lFor:
+		lo, err := w.intOf(s.x)
 		if err != nil {
 			return err
 		}
-		lo, err := w.intOf(s.Lo)
+		hi, err := w.intOf(s.y)
 		if err != nil {
 			return err
 		}
-		hi, err := w.intOf(s.Hi)
-		if err != nil {
-			return err
-		}
-		if hi < lo {
-			return w.failf("block receive into %s[%d..%d]", s.Buf, lo, hi)
-		}
-		return w.recv(int(src), s.Tag, int(hi-lo+1))
-	case *spmd.Coerce:
-		return w.coerce(s, indexCost)
-	case *spmd.For:
-		lo, err := w.intOf(s.Lo)
-		if err != nil {
-			return err
-		}
-		hi, err := w.intOf(s.Hi)
-		if err != nil {
-			return err
-		}
-		step, err := w.intOf(s.Step)
+		step, err := w.intOf(s.z)
 		if err != nil {
 			return err
 		}
@@ -484,92 +699,92 @@ func (w *walker) stmt(s spmd.Stmt) error {
 		}
 		for x := lo; x <= hi; x += step {
 			w.loopStep()
-			w.setVar(s.Var, float64(x))
-			w.env[s.Var] = x // exact integer, not a float round-trip
-			if err := w.stmts(s.Body); err != nil {
+			// The exact integer, not a float round-trip.
+			w.fvals[s.slot], w.fknown[s.slot] = float64(x), true
+			w.ivals[s.slot], w.iknown[s.slot] = x, true
+			w.write(s.slot)
+			if err := w.stmts(s.body); err != nil {
 				return err
 			}
 		}
 		return nil
-	case *spmd.Guard:
+	case lGuard:
 		w.ops(1) // the mynode() test, charged on every process
-		p, err := w.intOf(s.Proc)
+		p, err := w.intOf(s.x)
 		if err != nil {
 			return err
 		}
 		if p == w.me {
-			return w.stmts(s.Body)
+			return w.stmts(s.body)
 		}
 		return nil
-	case *spmd.IfValue:
-		w.ops(vexprOps(s.Cond))
-		c, ok := w.evalV(s.Cond)
+	case lIf:
+		w.ops(s.ops)
+		c, ok := w.evalV(s.val)
 		if !ok {
 			return w.failf("branch on a computed value")
 		}
 		if c != 0 {
-			return w.stmts(s.Then)
+			return w.stmts(s.body)
 		}
-		return w.stmts(s.Else)
+		return w.stmts(s.els)
 	default:
-		return w.failf("unknown statement %T", s)
+		return w.failf("unknown statement %T", s.src)
 	}
 }
 
 // coerce mirrors exec.(*pstate).coerce: run-time resolution's value movement,
 // with ownership tests charged as compute.
-func (w *walker) coerce(s *spmd.Coerce, indexCost int64) error {
+func (w *walker) coerce(s *lstmt) error {
+	c := s.src.(*spmd.Coerce)
 	w.ops(2) // owner/needer membership tests
 	readSrc := func() {
 		w.mem(1)
-		if s.Array != "" {
+		if c.Array != "" {
 			w.ops(indexCost)
 		}
 	}
 	switch {
-	case s.OwnerAll:
-		if s.NeederAll {
+	case c.OwnerAll:
+		if c.NeederAll {
 			readSrc()
-			w.setUnknown(s.Dst)
+			w.setUnknown(s.slot)
 			return nil
 		}
-		needer, err := w.intOf(s.Needer)
+		needer, err := w.intOf(s.y)
 		if err != nil {
 			return err
 		}
 		if needer == w.me {
 			readSrc()
-			w.setUnknown(s.Dst)
+			w.setUnknown(s.slot)
 		}
 		return nil
-	case s.NeederAll:
-		owner, err := w.intOf(s.Owner)
+	case c.NeederAll:
+		owner, err := w.intOf(s.x)
 		if err != nil {
 			return err
 		}
 		if owner == w.me {
 			readSrc()
-			for q := 0; q < w.procs; q++ {
-				if int64(q) != w.me {
-					if err := w.send(q, s.Tag, 1); err != nil {
+			for q := int64(0); q < int64(w.procs); q++ {
+				if q != w.me {
+					if err := w.send(q, s.tag, 1); err != nil {
 						return err
 					}
 				}
 			}
-			w.setUnknown(s.Dst)
-		} else {
-			if err := w.recv(int(owner), s.Tag, 1); err != nil {
-				return err
-			}
-			w.setUnknown(s.Dst)
+		} else if err := w.recv(owner, s.tag, 1); err != nil {
+			return err
 		}
+		w.setUnknown(s.slot)
 		return nil
 	default:
-		owner, err := w.intOf(s.Owner)
+		owner, err := w.intOf(s.x)
 		if err != nil {
 			return err
 		}
-		needer, err := w.intOf(s.Needer)
+		needer, err := w.intOf(s.y)
 		if err != nil {
 			return err
 		}
@@ -577,16 +792,16 @@ func (w *walker) coerce(s *spmd.Coerce, indexCost int64) error {
 		case owner == needer:
 			if owner == w.me {
 				readSrc()
-				w.setUnknown(s.Dst)
+				w.setUnknown(s.slot)
 			}
 		case owner == w.me:
 			readSrc()
-			return w.send(int(needer), s.Tag, 1)
+			return w.send(needer, s.tag, 1)
 		case needer == w.me:
-			if err := w.recv(int(owner), s.Tag, 1); err != nil {
+			if err := w.recv(owner, s.tag, 1); err != nil {
 				return err
 			}
-			w.setUnknown(s.Dst)
+			w.setUnknown(s.slot)
 		}
 		return nil
 	}

@@ -395,7 +395,7 @@ func (j *decisionJournal) maybeCompactLocked() {
 	if err != nil || int64(buf.Len()) >= fi.Size() {
 		return // nothing to fold away
 	}
-	tmp, err := os.CreateTemp(j.dir, adaptJournalName+".*"+cacheTmpSuffix)
+	tmp, err := createTemp(j.dir, adaptJournalName)
 	if err != nil {
 		return
 	}

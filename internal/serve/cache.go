@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,8 @@ import (
 //
 //   - writes go to a temp file in the cache directory and are renamed into
 //     place, so a kill at any instant leaves either the old entry, the new
-//     entry, or a .tmp leftover (swept on the next open), never a torn file;
+//     entry, or a .tmp leftover (swept on the next open once its writer is
+//     dead), never a torn file;
 //   - every entry carries a checksum of its payload and echoes its key, both
 //     verified on read; an entry that fails either check is moved to a
 //     quarantine subdirectory and reported as a miss, never served.
@@ -65,6 +67,11 @@ const (
 
 // OpenDiskCache opens (creating if needed) an unbounded cache rooted at dir
 // and sweeps temp files a previous crash may have stranded.
+//
+// Several instances may share a directory, so the sweep must not take a
+// live writer's in-flight temp file. Every temp name carries its writer's
+// pid (createTemp); the sweep removes only those whose writer process is
+// gone, never the opener's own, plus untagged leftovers.
 func OpenDiskCache(dir string) (*DiskCache, error) {
 	return OpenDiskCacheLimit(dir, 0)
 }
@@ -85,7 +92,9 @@ func OpenDiskCacheLimit(dir string, maxBytes int64) (*DiskCache, error) {
 	for _, e := range names { // ReadDir sorts by name
 		switch {
 		case strings.HasSuffix(e.Name(), cacheTmpSuffix):
-			os.Remove(filepath.Join(dir, e.Name()))
+			if stranded(e.Name()) {
+				os.Remove(filepath.Join(dir, e.Name()))
+			}
 		case strings.HasSuffix(e.Name(), cacheExt):
 			info, err := e.Info()
 			if err != nil {
@@ -98,6 +107,39 @@ func OpenDiskCacheLimit(dir string, maxBytes int64) (*DiskCache, error) {
 	}
 	c.sweep("")
 	return c, nil
+}
+
+// createTemp creates the temp file of a temp+rename write of base in dir,
+// named base.pid<pid>.<random>.tmp so a sweeping opener can find its owner.
+func createTemp(dir, base string) (*os.File, error) {
+	return os.CreateTemp(dir, base+".pid"+strconv.Itoa(os.Getpid())+".*"+cacheTmpSuffix)
+}
+
+// tempOwner returns the writer pid createTemp put in a temp file's name.
+func tempOwner(name string) (int, bool) {
+	i := strings.LastIndex(name, ".pid")
+	if i < 0 {
+		return 0, false
+	}
+	digits, _, ok := strings.Cut(name[i+len(".pid"):], ".")
+	if !ok {
+		return 0, false
+	}
+	pid, err := strconv.Atoi(digits)
+	return pid, err == nil && pid > 0
+}
+
+// stranded reports whether the open-time sweep may delete a temp file: its
+// writer is known dead, or its name carries no writer at all. A temp file
+// of this process is always in flight. (A restart that reuses its
+// predecessor's pid therefore leaves that predecessor's leftovers to a later
+// opener; they are never served, only unswept.)
+func stranded(name string) bool {
+	pid, ok := tempOwner(name)
+	if !ok {
+		return true
+	}
+	return pid != os.Getpid() && !processAlive(pid)
 }
 
 // observe reports one counted operation to the metrics mirror, if attached.
@@ -172,7 +214,7 @@ func (c *DiskCache) Put(key string, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	path := c.path(key)
-	tmp, err := os.CreateTemp(c.dir, filepath.Base(path)+".*"+cacheTmpSuffix)
+	tmp, err := createTemp(c.dir, filepath.Base(path))
 	if err != nil {
 		return fmt.Errorf("serve: cache write: %w", err)
 	}

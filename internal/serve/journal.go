@@ -164,7 +164,7 @@ func (j *journal) maybeCompact() {
 	if err != nil || buf.Len() >= len(valid) {
 		return // nothing to fold away
 	}
-	tmp, err := os.CreateTemp(j.dir, journalName+".*"+cacheTmpSuffix)
+	tmp, err := createTemp(j.dir, journalName)
 	if err != nil {
 		return
 	}
@@ -332,7 +332,7 @@ func foldJobs(jobs []*recoveredJob) (*bytes.Buffer, error) {
 // The job journal's open-time compaction and the adapt decision journal both
 // funnel their rewrites through here.
 func atomicRewrite(dir, path string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*"+cacheTmpSuffix)
+	tmp, err := createTemp(dir, filepath.Base(path))
 	if err != nil {
 		return err
 	}
