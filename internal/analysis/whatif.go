@@ -27,7 +27,10 @@ import (
 //   - Blocked spans (CPU contention under Placement, backpressure under
 //     MailboxCap) replay as their recorded durations: the contention pattern
 //     is assumed unchanged. Exact for unchanged costs; an approximation
-//     otherwise.
+//     otherwise. A blocked span immediately followed by a receive is that
+//     receive's wait for the node CPU after its message arrived (a late
+//     message records idle → blocked → recv), so it replays after the
+//     arrival wait, not before it.
 //   - Transport excess beyond the nominal latency (retries, jitter, in-order
 //     holds) replays as the recorded per-message surplus.
 
@@ -81,7 +84,7 @@ func DefaultScenarios() []Scenario {
 // replayAction is one step of a process's recorded program, in order.
 type replayAction struct {
 	kind   trace.Kind // KindCompute (also for blocked), KindSend, KindRecv
-	dur    uint64     // compute/blocked: recorded duration
+	dur    uint64     // compute/blocked: recorded duration; recv: post-arrival CPU wait
 	peer   int        // send: destination; recv: source
 	seq    uint64     // message edge ID (sender's counter)
 	values int
@@ -109,12 +112,20 @@ func (d *Dump) Predict(sc Scenario) (uint64, error) {
 	}
 
 	// Rebuild each process's action list. Idle spans are dropped (waits are
-	// recomputed); blocked spans become fixed delays.
+	// recomputed); blocked spans become fixed delays, after the arrival wait
+	// when they lead straight into a receive.
 	acts := make([][]replayAction, d.Procs)
 	for p := range d.Events {
-		for _, e := range d.Events[p] {
+		var postArrival uint64
+		for i, e := range d.Events[p] {
 			switch e.Kind {
-			case trace.KindCompute, trace.KindBlocked:
+			case trace.KindBlocked:
+				if i+1 < len(d.Events[p]) && d.Events[p][i+1].Kind == trace.KindRecv {
+					postArrival = e.Dur()
+					continue
+				}
+				acts[p] = append(acts[p], replayAction{kind: trace.KindCompute, dur: e.Dur()})
+			case trace.KindCompute:
 				acts[p] = append(acts[p], replayAction{kind: trace.KindCompute, dur: e.Dur()})
 			case trace.KindSend:
 				a := replayAction{kind: trace.KindSend, peer: e.Peer, seq: e.Seq, values: e.Values}
@@ -126,7 +137,9 @@ func (d *Dump) Predict(sc Scenario) (uint64, error) {
 				}
 				acts[p] = append(acts[p], a)
 			case trace.KindRecv:
-				acts[p] = append(acts[p], replayAction{kind: trace.KindRecv, peer: e.Peer, seq: e.Seq, values: e.Values})
+				acts[p] = append(acts[p], replayAction{kind: trace.KindRecv, dur: postArrival,
+					peer: e.Peer, seq: e.Seq, values: e.Values})
+				postArrival = 0
 			case trace.KindIdle:
 				// recomputed from the matching send
 			default:
@@ -155,7 +168,7 @@ func (d *Dump) Predict(sc Scenario) (uint64, error) {
 					if rel > clocks[p] {
 						clocks[p] = rel
 					}
-					clocks[p] += costs.RecvStartup + uint64(a.values)*costs.PerValue
+					clocks[p] += a.dur + costs.RecvStartup + uint64(a.values)*costs.PerValue
 				} else if a.kind == trace.KindSend {
 					clocks[p] += costs.SendStartup + uint64(a.values)*costs.PerValue
 					released[msgKey{src: p, seq: a.seq}] = clocks[p] + costs.Latency + a.excess

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"procdecomp/internal/analysis"
@@ -58,21 +59,54 @@ func TestCriticalPathExactFig6(t *testing.T) {
 }
 
 // The identity replay must reproduce the measured makespan exactly even on
-// the hardest path: multiplexed placement plus an unreliable network.
+// the hardest paths: multiplexed placement, with and without an unreliable
+// network. Under Placement a receive whose message arrives late records
+// idle → blocked → recv — the node-CPU wait comes after the arrival — and
+// the shapes below are ones where replaying that wait before the arrival
+// under-predicted (processes placed cyclically on the nodes).
 func TestWhatIfIdentityMuxChaos(t *testing.T) {
-	cfg := machine.DefaultConfig(8)
-	cfg.Placement = []int{0, 1, 2, 3, 0, 1, 2, 3}
-	cfg.Faults = faults.Chaos(3, 0.05)
-	stats, d, err := DumpGS(cfg, OptimizedIII, 24, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Predict(analysis.Scenario{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != stats.Makespan {
-		t.Fatalf("identity replay %d != measured %d", got, stats.Makespan)
+	for _, tc := range []struct {
+		v            Variant
+		n, blk       int64
+		nodes, procs int
+		chaos        bool
+	}{
+		{OptimizedIII, 24, 4, 4, 8, true},
+		{OptimizedIII, 16, 2, 4, 16, false},
+		{OptimizedIII, 16, 2, 4, 16, true},
+		{OptimizedIII, 16, 2, 4, 8, false},
+		{OptimizedIII, 16, 2, 4, 8, true},
+		{OptimizedIII, 32, 2, 4, 8, false},
+		{OptimizedIII, 32, 8, 4, 16, false},
+		{OptimizedIII, 32, 8, 4, 16, true},
+		{OptimizedIII, 64, 8, 2, 8, false},
+		{OptimizedIII, 64, 8, 2, 8, true},
+		{CompileTime, 32, 8, 4, 16, false},
+		{CompileTime, 32, 8, 4, 16, true},
+	} {
+		mode := map[Variant]string{OptimizedIII: "opt3", CompileTime: "ctr"}[tc.v]
+		name := fmt.Sprintf("%s/N%d/blk%d/%don%d/chaos=%v", mode, tc.n, tc.blk, tc.procs, tc.nodes, tc.chaos)
+		t.Run(name, func(t *testing.T) {
+			cfg := machine.DefaultConfig(tc.procs)
+			cfg.Placement = make([]int, tc.procs)
+			for p := range cfg.Placement {
+				cfg.Placement[p] = p % tc.nodes
+			}
+			if tc.chaos {
+				cfg.Faults = faults.Chaos(3, 0.05)
+			}
+			stats, d, err := DumpGS(cfg, tc.v, tc.n, tc.blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := d.Predict(analysis.Scenario{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != stats.Makespan {
+				t.Fatalf("identity replay %d != measured %d", got, stats.Makespan)
+			}
+		})
 	}
 }
 

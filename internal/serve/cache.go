@@ -17,7 +17,7 @@ import (
 // response bytes. It is crash-safe by construction —
 //
 //   - writes go to a temp file in the cache directory and are renamed into
-//     place, so a kill at any instant leaves either the old entry, the new
+//     place (installFile), so a kill at any instant leaves either the old entry, the new
 //     entry, or a .tmp leftover (swept on the next open once its writer is
 //     dead), never a torn file;
 //   - every entry carries a checksum of its payload and echoes its key, both
@@ -203,10 +203,10 @@ func (c *DiskCache) forget(name string) {
 	c.lmu.Unlock()
 }
 
-// Put stores the payload under key with an atomic write-rename. A concurrent
-// Put of the same key is harmless: both writers produce identical bytes
-// (responses are deterministic in the key), so whichever rename lands last
-// installs the same entry.
+// Put stores the payload under key with an atomic install (installFile). A
+// concurrent Put of the same key is harmless: both writers produce identical
+// bytes (responses are deterministic in the key), so whichever rename lands
+// last installs the same entry.
 func (c *DiskCache) Put(key string, payload []byte) error {
 	if c == nil {
 		return nil
@@ -214,26 +214,14 @@ func (c *DiskCache) Put(key string, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	path := c.path(key)
-	tmp, err := createTemp(c.dir, filepath.Base(path))
-	if err != nil {
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	enc := encodeEntry(key, payload)
-	if _, err := tmp.Write(enc); err != nil {
-		tmp.Close()
+	f, err := installFile(c.dir, path, enc)
+	if f == nil {
 		return fmt.Errorf("serve: cache write: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
+	// An installed entry is charged to the ledger even when only its
+	// directory fsync failed; that error is still returned below.
+	f.Close()
 	name := filepath.Base(path)
 	c.lmu.Lock()
 	if old, ok := c.meta[name]; ok {
@@ -246,6 +234,9 @@ func (c *DiskCache) Put(key string, payload []byte) error {
 	c.writes.Add(1)
 	c.observe("write")
 	c.sweep(name)
+	if err != nil {
+		return fmt.Errorf("serve: cache write: %w", err)
+	}
 	return nil
 }
 

@@ -1,0 +1,18 @@
+//go:build unix
+
+package serve
+
+import "os"
+
+// syncDir fsyncs a directory, making the renames inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -61,7 +61,7 @@ func TestJournalQuarantinesTornTail(t *testing.T) {
 		t.Errorf("maxSeq = %d, want 2", maxSeq)
 	}
 	// The torn bytes are preserved for inspection, not re-parsed.
-	got, err := os.ReadFile(filepath.Join(dir, quarantineDir, journalTornName))
+	got, err := os.ReadFile(filepath.Join(dir, quarantineDir, journalName+".torn"))
 	if err != nil || string(got) != torn {
 		t.Errorf("quarantined tail = %q (err %v), want the torn bytes", got, err)
 	}
@@ -105,7 +105,7 @@ func TestJournalTreatsRequestlessAcceptAsTorn(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].id != jobID(1) {
 		t.Fatalf("recovered %+v, want only the intact job", jobs)
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, journalTornName)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, journalName+".torn")); err != nil {
 		t.Errorf("request-less accept not quarantined: %v", err)
 	}
 }

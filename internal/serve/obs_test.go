@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -196,12 +197,13 @@ func TestRequestIDPropagation(t *testing.T) {
 
 	// The journal's accepted record carries the ID, so a restarted server
 	// keeps the correlation.
-	jobs, _, _, _, err := parseJournal(s.journal.path)
+	raw, err := os.ReadFile(s.journal.path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	jl, _ := parseJobs(raw)
 	found := false
-	for _, rj := range jobs {
+	for _, rj := range jl.jobs {
 		if rj.id == acc.ID {
 			found = true
 			if rj.rid != rid {

@@ -52,8 +52,7 @@ type Config struct {
 	CacheMaxBytes int64
 	// JournalCompactEvery folds the job journal (and the adapt decision
 	// journal) in place after that many runtime appends, on top of the
-	// always-on open-time compaction (default 4096; negative disables
-	// runtime folding).
+	// open-time fold (default 4096; negative disables runtime folding).
 	JournalCompactEvery int
 	// Adapt configures the online workload-shift controller. When enabled,
 	// completed /run requests feed per-scenario workload profiles, a
@@ -317,12 +316,12 @@ type Server struct {
 	cfg     Config
 	cache   *DiskCache
 	adm     *admission
-	journal *journal
+	journal *recordLog[jobLog]
 
 	// The adaptation plane: the shift controller, its durable decision
 	// journal, and the in-memory decision list behind GET /adapt.
 	adapt          *adapt.Controller
-	adaptJournal   *decisionJournal
+	adaptJournal   *recordLog[decisionLog]
 	adaptMu        sync.Mutex
 	adaptDecisions []adapt.Decision
 	adaptDecLines  []byte // NDJSON of this process's decisions, append-only
@@ -914,9 +913,7 @@ func (s *Server) Close() {
 // flush and in-flight work is canceled; nothing is drained, recorded, or
 // acknowledged past this point.
 func (s *Server) crash() {
-	if s.journal != nil {
-		s.journal.crash()
-	}
+	s.journal.crash()
 	s.adaptJournal.crash()
 	s.abort()
 }
