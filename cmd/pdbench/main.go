@@ -24,6 +24,7 @@ import (
 	"procdecomp/internal/bench"
 	"procdecomp/internal/enginebench"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/obs"
 )
 
 func main() {
@@ -39,8 +40,21 @@ func main() {
 
 		engineJSON = flag.String("engine-json", "", "write the engine differential benchmark as JSON to this file (implies -fig engine)")
 		minSpeedup = flag.Float64("engine-min-speedup", 5, "fail unless the event loop beats the goroutine baseline by this factor on the gated shape")
+
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stopProf
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	procs := bench.DefaultProcs
 	if *procsCS != "" {
@@ -208,5 +222,10 @@ func parseProcs(s string) ([]int, error) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pdbench:", err)
+	stopProfiles() // already failing: a profile error adds nothing
 	os.Exit(1)
 }
+
+// stopProfiles ends the -cpuprofile/-memprofile profiles. fatal calls it
+// too, since os.Exit skips deferred calls; a second call does nothing.
+var stopProfiles = func() error { return nil }

@@ -26,8 +26,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -36,6 +34,7 @@ import (
 	"procdecomp/internal/dist"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/obs"
 )
 
 func main() {
@@ -81,7 +80,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
@@ -172,43 +171,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	}
 	_, err = io.WriteString(stdout, rep.Format())
 	return err
-}
-
-// startProfiles starts a CPU profile when cpu names a file and returns the
-// function that ends it and writes the heap profile to mem (if named). Both
-// are runtime/pprof profiles for `go tool pprof`.
-func startProfiles(cpu, mem string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		if cpuFile, err = os.Create(cpu); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
-		}
-		if mem == "" {
-			return nil
-		}
-		f, err := os.Create(mem)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // up-to-date statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}, nil
 }
 
 // warmSeed extracts the winning mapping from a previous run's JSON report —

@@ -29,6 +29,7 @@ import (
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
+	"procdecomp/internal/obs"
 	"procdecomp/internal/sem"
 	"procdecomp/internal/spmd"
 	"procdecomp/internal/trace"
@@ -46,12 +47,24 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run (open in chrome://tracing or Perfetto)")
 		faultRate = flag.Float64("faults", 0, "inject a chaos fault schedule: drop messages at this rate, with duplicates, ack loss, and jitter (0 = reliable network)")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for the fault schedule (same seed, same faults)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 		defines   defineFlag
 		remaps    remapFlag
 	)
 	flag.Var(&defines, "D", "override a constant, e.g. -D N=64 (repeatable)")
 	flag.Var(&remaps, "dist", "retarget a dist declaration, e.g. -dist Column=block2d(2x4) (repeatable; pdmap searches these)")
 	flag.Parse()
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stopProf
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	src, err := readSource(*file)
 	if err != nil {
@@ -78,6 +91,7 @@ func main() {
 		for _, e := range errs {
 			fmt.Fprintln(os.Stderr, "error:", e)
 		}
+		stopProfiles()
 		os.Exit(1)
 	}
 	name := *entry
@@ -158,6 +172,7 @@ func main() {
 			} else {
 				fmt.Fprintln(os.Stderr, "pdrun: interrupted")
 			}
+			stopProfiles()
 			os.Exit(130)
 		}
 		fatal(err)
@@ -318,8 +333,13 @@ func writeTrace(path string, cfg machine.Config, tr *trace.Log) error {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pdrun:", err)
+	stopProfiles() // already failing: a profile error adds nothing
 	os.Exit(1)
 }
+
+// stopProfiles ends the -cpuprofile/-memprofile profiles. fatal calls it
+// too, since os.Exit skips deferred calls; a second call does nothing.
+var stopProfiles = func() error { return nil }
 
 // remapFlag parses repeated -dist Name=mapping flags.
 type remapFlag struct {

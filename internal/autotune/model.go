@@ -4,19 +4,18 @@ import (
 	"fmt"
 
 	"procdecomp/internal/exec"
-	"procdecomp/internal/expr"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
 	"procdecomp/internal/spmd"
 )
 
 // The static cost model: an abstract walk of each process's compiled program
-// that mirrors the interpreter's cost accounting charge for charge
-// (internal/exec) without computing any data values. Control flow — loop
-// bounds, guards, message endpoints — is evaluated over the integer
-// environment exactly as the interpreter would; data values are tracked as
-// "unknown" and only become an error if control flow ever depends on one
-// (ErrUnmodeled, the fallback-to-measurement signal).
+// that charges what the interpreter (internal/exec) charges without computing
+// any data values. Control flow — loop bounds, guards, message endpoints — is
+// evaluated over the integer environment exactly as the interpreter would;
+// data values are tracked as "unknown" and only become an error if control
+// flow ever depends on one (ErrUnmodeled, the fallback-to-measurement
+// signal).
 //
 // The walk of one process yields its action sequence: coalesced compute
 // spans, sends, and receives, in program order. Because no modeled program's
@@ -27,15 +26,15 @@ import (
 // recurrence — the identical recurrence analysis.(*Dump).Predict uses —
 // yields the predicted makespan, exact whenever the walk succeeded.
 //
-// The walker never interprets the spmd tree directly. BuildProfile first
-// lowers each program once (lower): every variable name becomes an integer
+// The walker never interprets the spmd tree directly. It runs over the
+// interpreter's own lowering (exec.Lower): every variable name is an integer
 // slot, every integer expression is compiled over those slots
-// (expr.Compile), and every statement's operation charge (vexprOps plus
-// subscript costs) is precomputed. The run-time resolution program is
-// generic, so it is lowered once and shared by all S walkers; each walker
-// keeps only its own slot values. Evaluation stays at the program point the
-// interpreter evaluates at, so control flow, charges and error order are the
-// interpreter's. Two devices keep it cheap and exact:
+// (expr.Compile), and every statement carries its precomputed operation
+// charge, so the charge table exists once, in exec. The run-time resolution
+// program is generic, so it is lowered once and shared by all S walkers;
+// each walker keeps only its own slot values. Evaluation stays at the
+// program point the interpreter evaluates at, so control flow, charges and
+// error order are the interpreter's. Two devices keep it cheap and exact:
 //
 //   - A stamp memo. Every slot write (assignment, loop step, a value turning
 //     unknown) takes a fresh stamp from the walker's clock; a compiled
@@ -100,11 +99,11 @@ type msgID struct {
 // BuildProfile walks the compiled programs (one generic or cfg.Procs
 // specialized, as exec.RunSPMD accepts them) and returns the matched profile.
 func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
-	pick := func(p int) *lprog { return lower(progs[p]) }
+	pick := func(p int) *exec.Lowered { return exec.Lower(progs[p]) }
 	switch {
 	case len(progs) == 1 && progs[0].Proc < 0:
-		generic := lower(progs[0])
-		pick = func(int) *lprog { return generic }
+		generic := exec.Lower(progs[0])
+		pick = func(int) *exec.Lowered { return generic }
 	case len(progs) == cfg.Procs:
 		for i, pr := range progs {
 			if pr.Proc != i {
@@ -121,7 +120,7 @@ func BuildProfile(progs []*spmd.Program, cfg machine.Config) (*Profile, error) {
 			// Processes run near-identical action counts; start at the last.
 			w.acts = make([]action, 0, len(pf.Acts[p-1]))
 		}
-		if err := w.stmts(w.prog.body); err != nil {
+		if err := w.stmts(w.prog.Body); err != nil {
 			return nil, err
 		}
 		w.flush()
@@ -258,190 +257,12 @@ func (pf *Profile) Predict(cfg machine.Config) (uint64, error) {
 	return makespan, nil
 }
 
-// indexCost is exec's flat subscript charge.
-const indexCost = 2
-
-// lprog is one spmd.Program lowered for the walker.
-type lprog struct {
-	body  []lstmt
-	names []string // slot -> variable name
-	exprs int      // memoized expressions, the size of a walker's memo
-}
-
-type lkind uint8
-
-const (
-	lAssign  lkind = iota // AssignVar, AssignIVar
-	lAccess               // array or buffer element read/write
-	lSend                 // Send
-	lRecv                 // Recv
-	lSendBuf              // SendBuf
-	lRecvBuf              // RecvBuf
-	lCoerce               // Coerce
-	lFor                  // For
-	lGuard                // Guard
-	lIf                   // IfValue
-	lBad                  // a statement the walker cannot model
-)
-
-// lstmt is one lowered statement. Fields a kind does not use stay zero.
-type lstmt struct {
-	kind lkind
-	ops  int64 // operations charged on entry: vexprOps and subscripts
-	// slot is the variable the statement writes: assignment target, loop
-	// variable, or the destination a read or receive leaves unknown (-1
-	// for none).
-	slot      int
-	tag       int64
-	val       *lval     // assigned value or branch condition
-	x, y, z   *lexpr    // For lo/hi/step; peer/lo/hi; Coerce owner/needer; Guard proc
-	body, els []lstmt   // For/Guard body; IfValue then/else
-	src       spmd.Stmt // Coerce roles, block buffer names, diagnostics
-}
-
-// lexpr is a compiled integer expression. id indexes the walker's memo;
-// constants (id < 0) carry their value.
-type lexpr struct {
-	src  expr.Expr
-	code expr.Compiled
-	id   int
-	val  int64
-}
-
-const (
-	vConst uint8 = iota
-	vVar
-	vInt
-	vBin
-	vUn
-	vOther // a value expression the walker treats as unknown
-)
-
-// lval is a lowered data-value expression.
-type lval struct {
-	kind uint8
-	f    float64 // vConst
-	slot int     // vVar
-	x    *lexpr  // vInt
-	op   lang.Op
-	l, r *lval // vBin operands; vUn's operand is l
-}
-
-// meSlot is the slot of spmd.Me in every lowered program.
-const meSlot = 0
-
-// lower resolves p's variables to slots and compiles its expressions.
-func lower(p *spmd.Program) *lprog {
-	l := &lowerer{slots: map[string]int{}}
-	l.slot(spmd.Me) // meSlot
-	body := l.stmts(p.Body)
-	return &lprog{body: body, names: l.names, exprs: l.exprs}
-}
-
-type lowerer struct {
-	slots map[string]int
-	names []string
-	exprs int
-}
-
-func (l *lowerer) slot(name string) int {
-	s, ok := l.slots[name]
-	if !ok {
-		s = len(l.names)
-		l.slots[name] = s
-		l.names = append(l.names, name)
-	}
-	return s
-}
-
-func (l *lowerer) expr(e expr.Expr) *lexpr {
-	if v, ok := e.ConstVal(); ok {
-		return &lexpr{src: e, id: -1, val: v}
-	}
-	x := &lexpr{src: e, code: e.Compile(l.slot), id: l.exprs}
-	l.exprs++
-	return x
-}
-
-func (l *lowerer) val(v spmd.VExpr) *lval {
-	switch v := v.(type) {
-	case spmd.VConst:
-		return &lval{kind: vConst, f: v.F}
-	case spmd.VVar:
-		return &lval{kind: vVar, slot: l.slot(v.Name)}
-	case spmd.VInt:
-		return &lval{kind: vInt, x: l.expr(v.X)}
-	case spmd.VBin:
-		return &lval{kind: vBin, op: v.Op, l: l.val(v.L), r: l.val(v.R)}
-	case spmd.VUn:
-		return &lval{kind: vUn, op: v.Op, l: l.val(v.X)}
-	default:
-		return &lval{kind: vOther}
-	}
-}
-
-// vexprOps mirrors exec.vexprOps: operator nodes cost one op each.
-func vexprOps(v spmd.VExpr) int64 {
-	switch v := v.(type) {
-	case spmd.VBin:
-		return 1 + vexprOps(v.L) + vexprOps(v.R)
-	case spmd.VUn:
-		return 1 + vexprOps(v.X)
-	default:
-		return 0
-	}
-}
-
-func (l *lowerer) stmts(body []spmd.Stmt) []lstmt {
-	out := make([]lstmt, 0, len(body))
-	for _, s := range body {
-		switch s := s.(type) {
-		case *spmd.Alloc, *spmd.AllocBuf:
-			// Allocation is uncharged in the interpreter.
-		case *spmd.AssignVar:
-			out = append(out, lstmt{kind: lAssign, ops: vexprOps(s.Val), slot: l.slot(s.Name), val: l.val(s.Val)})
-		case *spmd.AssignIVar:
-			out = append(out, lstmt{kind: lAssign, ops: vexprOps(s.Val), slot: l.slot(s.Name), val: l.val(s.Val)})
-		case *spmd.ARead:
-			out = append(out, lstmt{kind: lAccess, ops: indexCost, slot: l.slot(s.Dst)}) // array contents are data
-		case *spmd.AWrite:
-			out = append(out, lstmt{kind: lAccess, ops: indexCost + vexprOps(s.Val), slot: -1})
-		case *spmd.BufRead:
-			out = append(out, lstmt{kind: lAccess, ops: indexCost, slot: l.slot(s.Dst)})
-		case *spmd.BufWrite:
-			out = append(out, lstmt{kind: lAccess, ops: indexCost + vexprOps(s.Val), slot: -1})
-		case *spmd.Send:
-			out = append(out, lstmt{kind: lSend, ops: vexprOps(s.Val), x: l.expr(s.Dst), tag: s.Tag})
-		case *spmd.Recv:
-			out = append(out, lstmt{kind: lRecv, x: l.expr(s.Src), tag: s.Tag, slot: l.slot(s.Dst)})
-		case *spmd.SendBuf:
-			out = append(out, lstmt{kind: lSendBuf, x: l.expr(s.Dst), y: l.expr(s.Lo), z: l.expr(s.Hi), tag: s.Tag, src: s})
-		case *spmd.RecvBuf:
-			out = append(out, lstmt{kind: lRecvBuf, x: l.expr(s.Src), y: l.expr(s.Lo), z: l.expr(s.Hi), tag: s.Tag, src: s})
-		case *spmd.Coerce:
-			out = append(out, lstmt{kind: lCoerce, x: l.expr(s.Owner), y: l.expr(s.Needer), tag: s.Tag,
-				slot: l.slot(s.Dst), src: s})
-		case *spmd.For:
-			out = append(out, lstmt{kind: lFor, slot: l.slot(s.Var), x: l.expr(s.Lo), y: l.expr(s.Hi), z: l.expr(s.Step),
-				body: l.stmts(s.Body)})
-		case *spmd.Guard:
-			out = append(out, lstmt{kind: lGuard, x: l.expr(s.Proc), body: l.stmts(s.Body)})
-		case *spmd.IfValue:
-			out = append(out, lstmt{kind: lIf, ops: vexprOps(s.Cond), val: l.val(s.Cond),
-				body: l.stmts(s.Then), els: l.stmts(s.Else)})
-		default:
-			out = append(out, lstmt{kind: lBad, src: s})
-		}
-	}
-	return out
-}
-
 // walker is the per-process abstract interpreter over a lowered program.
 type walker struct {
 	me    int64
 	procs int
 	cfg   machine.Config
-	prog  *lprog
+	prog  *exec.Lowered
 	// Per slot: the integer view (me, loop variables, known assignments)
 	// and the known data value. They change together, except that me has
 	// an integer value but no data value.
@@ -451,7 +272,7 @@ type walker struct {
 	fknown []bool
 	stamp  []uint64 // clock of the slot's last write
 	clock  uint64
-	memo   []memo // by lexpr.id
+	memo   []memo // by exec.LExpr.ID
 	acts   []action
 	acc    uint64 // pending compute cycles, flushed before sends/receives
 }
@@ -463,13 +284,13 @@ type memo struct {
 	at  uint64
 }
 
-func newWalker(me int, cfg machine.Config, prog *lprog) *walker {
-	n := len(prog.names)
+func newWalker(me int, cfg machine.Config, prog *exec.Lowered) *walker {
+	n := len(prog.Names)
 	w := &walker{me: int64(me), procs: cfg.Procs, cfg: cfg, prog: prog,
 		ivals: make([]int64, n), iknown: make([]bool, n),
 		fvals: make([]float64, n), fknown: make([]bool, n),
-		stamp: make([]uint64, n), clock: 1, memo: make([]memo, prog.exprs)}
-	w.ivals[meSlot], w.iknown[meSlot] = int64(me), true
+		stamp: make([]uint64, n), clock: 1, memo: make([]memo, prog.Exprs)}
+	w.ivals[exec.MeSlot], w.iknown[exec.MeSlot] = int64(me), true
 	return w
 }
 
@@ -530,14 +351,14 @@ func (w *walker) setUnknown(s int) {
 
 // eval evaluates a compiled integer expression, reusing the memoized value
 // while none of its inputs has been written since.
-func (w *walker) eval(x *lexpr) (int64, bool) {
-	if x.id < 0 {
-		return x.val, true
+func (w *walker) eval(x *exec.LExpr) (int64, bool) {
+	if x.ID < 0 {
+		return x.Val, true
 	}
-	m := &w.memo[x.id]
+	m := &w.memo[x.ID]
 	if m.at != 0 {
 		fresh := true
-		for _, s := range x.code.Slots() {
+		for _, s := range x.Code.Slots() {
 			if w.stamp[s] > m.at {
 				fresh = false
 				break
@@ -547,7 +368,7 @@ func (w *walker) eval(x *lexpr) (int64, bool) {
 			return m.val, true
 		}
 	}
-	v, ok := x.code.Eval(w.ivals, w.iknown)
+	v, ok := x.Code.Eval(w.ivals, w.iknown)
 	if ok {
 		*m = memo{val: v, at: w.clock}
 	}
@@ -556,17 +377,11 @@ func (w *walker) eval(x *lexpr) (int64, bool) {
 
 // intOf evaluates a control expression. On failure it re-runs the source
 // expression's Eval over the known slots for the exact error.
-func (w *walker) intOf(x *lexpr) (int64, error) {
+func (w *walker) intOf(x *exec.LExpr) (int64, error) {
 	if v, ok := w.eval(x); ok {
 		return v, nil
 	}
-	env := expr.Env{}
-	for s, known := range w.iknown {
-		if known {
-			env[w.prog.names[s]] = w.ivals[s]
-		}
-	}
-	v, err := x.src.Eval(env)
+	v, err := x.Src.Eval(w.prog.Env(w.ivals, w.iknown))
 	if err != nil {
 		return 0, w.failf("%v", err)
 	}
@@ -574,33 +389,33 @@ func (w *walker) intOf(x *lexpr) (int64, error) {
 }
 
 // evalV evaluates a value expression if every input is statically known.
-func (w *walker) evalV(v *lval) (float64, bool) {
-	switch v.kind {
-	case vConst:
-		return v.f, true
-	case vVar:
-		return w.fvals[v.slot], w.fknown[v.slot]
-	case vInt:
-		i, ok := w.eval(v.x)
+func (w *walker) evalV(v *exec.LVal) (float64, bool) {
+	switch v.Kind {
+	case exec.ValConst:
+		return v.F, true
+	case exec.ValVar:
+		return w.fvals[v.Slot], w.fknown[v.Slot]
+	case exec.ValInt:
+		i, ok := w.eval(v.X)
 		return float64(i), ok
-	case vBin:
-		l, ok := w.evalV(v.l)
+	case exec.ValBin:
+		l, ok := w.evalV(v.L)
 		if !ok {
 			return 0, false
 		}
-		r, ok := w.evalV(v.r)
+		r, ok := w.evalV(v.R)
 		if !ok {
 			return 0, false
 		}
 		bad := false
-		res := exec.EvalBin(v.op, l, r, func(string) { bad = true })
+		res := exec.EvalBin(v.Op, l, r, func(string) { bad = true })
 		return res, !bad
-	case vUn:
-		x, ok := w.evalV(v.l)
+	case exec.ValUn:
+		x, ok := w.evalV(v.L)
 		if !ok {
 			return 0, false
 		}
-		if v.op == lang.OpNeg {
+		if v.Op == lang.OpNeg {
 			return -x, true
 		}
 		if x != 0 {
@@ -612,7 +427,7 @@ func (w *walker) evalV(v *lval) (float64, bool) {
 	}
 }
 
-func (w *walker) stmts(body []lstmt) error {
+func (w *walker) stmts(body []exec.LStmt) error {
 	for i := range body {
 		if err := w.stmt(&body[i]); err != nil {
 			return err
@@ -621,76 +436,78 @@ func (w *walker) stmts(body []lstmt) error {
 	return nil
 }
 
-// stmt mirrors exec.(*pstate).stmt charge for charge.
-func (w *walker) stmt(s *lstmt) error {
-	switch s.kind {
-	case lAssign:
-		w.ops(s.ops)
-		if v, ok := w.evalV(s.val); ok {
-			w.setVar(s.slot, v)
+// stmt charges what exec.(*pstate).stmt charges, from the same lowering.
+func (w *walker) stmt(s *exec.LStmt) error {
+	switch s.Kind {
+	case exec.LAlloc, exec.LAllocBuf:
+		return nil // allocation is uncharged
+	case exec.LAssignVar, exec.LAssignIVar:
+		w.ops(s.Ops)
+		if v, ok := w.evalV(s.Val); ok {
+			w.setVar(s.Dst, v)
 		} else {
-			w.setUnknown(s.slot)
+			w.setUnknown(s.Dst)
 		}
 		return nil
-	case lAccess:
-		w.ops(s.ops)
+	case exec.LARead, exec.LAWrite, exec.LBufRead, exec.LBufWrite:
+		w.ops(s.Ops)
 		w.mem(1)
-		if s.slot >= 0 {
-			w.setUnknown(s.slot)
+		if s.Dst >= 0 {
+			w.setUnknown(s.Dst) // array and buffer contents are data
 		}
 		return nil
-	case lSend:
-		w.ops(s.ops)
-		dst, err := w.intOf(s.x)
+	case exec.LSend:
+		w.ops(s.Ops)
+		dst, err := w.intOf(s.X)
 		if err != nil {
 			return err
 		}
-		return w.send(dst, s.tag, 1)
-	case lRecv:
-		src, err := w.intOf(s.x)
+		return w.send(dst, s.Tag, 1)
+	case exec.LRecv:
+		src, err := w.intOf(s.X)
 		if err != nil {
 			return err
 		}
-		if err := w.recv(src, s.tag, 1); err != nil {
+		if err := w.recv(src, s.Tag, 1); err != nil {
 			return err
 		}
-		w.setUnknown(s.slot)
+		w.setUnknown(s.Dst)
 		return nil
-	case lSendBuf, lRecvBuf:
-		peer, err := w.intOf(s.x)
+	case exec.LSendBuf, exec.LRecvBuf:
+		peer, err := w.intOf(s.X)
 		if err != nil {
 			return err
 		}
-		lo, err := w.intOf(s.y)
+		lo, err := w.intOf(s.Y)
 		if err != nil {
 			return err
 		}
-		hi, err := w.intOf(s.z)
+		hi, err := w.intOf(s.Z)
 		if err != nil {
 			return err
 		}
-		if s.kind == lSendBuf {
+		if s.Kind == exec.LSendBuf {
 			if hi < lo {
-				return w.failf("block send of %s[%d..%d]", s.src.(*spmd.SendBuf).Buf, lo, hi)
+				return w.failf("block send of %s[%d..%d]", w.prog.Bufs[s.Ref], lo, hi)
 			}
-			return w.send(peer, s.tag, hi-lo+1)
+			return w.send(peer, s.Tag, hi-lo+1)
 		}
 		if hi < lo {
-			return w.failf("block receive into %s[%d..%d]", s.src.(*spmd.RecvBuf).Buf, lo, hi)
+			return w.failf("block receive into %s[%d..%d]", w.prog.Bufs[s.Ref], lo, hi)
 		}
-		return w.recv(peer, s.tag, hi-lo+1)
-	case lCoerce:
+		return w.recv(peer, s.Tag, hi-lo+1)
+	case exec.LCoerce:
 		return w.coerce(s)
-	case lFor:
-		lo, err := w.intOf(s.x)
+	case exec.LFor:
+		lo, err := w.intOf(s.X)
 		if err != nil {
 			return err
 		}
-		hi, err := w.intOf(s.y)
+		hi, err := w.intOf(s.Y)
 		if err != nil {
 			return err
 		}
-		step, err := w.intOf(s.z)
+		step, err := w.intOf(s.Z)
 		if err != nil {
 			return err
 		}
@@ -700,68 +517,68 @@ func (w *walker) stmt(s *lstmt) error {
 		for x := lo; x <= hi; x += step {
 			w.loopStep()
 			// The exact integer, not a float round-trip.
-			w.fvals[s.slot], w.fknown[s.slot] = float64(x), true
-			w.ivals[s.slot], w.iknown[s.slot] = x, true
-			w.write(s.slot)
-			if err := w.stmts(s.body); err != nil {
+			w.fvals[s.Dst], w.fknown[s.Dst] = float64(x), true
+			w.ivals[s.Dst], w.iknown[s.Dst] = x, true
+			w.write(s.Dst)
+			if err := w.stmts(s.Body); err != nil {
 				return err
 			}
 		}
 		return nil
-	case lGuard:
-		w.ops(1) // the mynode() test, charged on every process
-		p, err := w.intOf(s.x)
+	case exec.LGuard:
+		w.ops(s.Ops) // the mynode() test, charged on every process
+		p, err := w.intOf(s.X)
 		if err != nil {
 			return err
 		}
 		if p == w.me {
-			return w.stmts(s.body)
+			return w.stmts(s.Body)
 		}
 		return nil
-	case lIf:
-		w.ops(s.ops)
-		c, ok := w.evalV(s.val)
+	case exec.LIf:
+		w.ops(s.Ops)
+		c, ok := w.evalV(s.Val)
 		if !ok {
 			return w.failf("branch on a computed value")
 		}
 		if c != 0 {
-			return w.stmts(s.body)
+			return w.stmts(s.Body)
 		}
-		return w.stmts(s.els)
+		return w.stmts(s.Else)
 	default:
-		return w.failf("unknown statement %T", s.src)
+		return w.failf("unknown statement %T", s.Src)
 	}
 }
 
 // coerce mirrors exec.(*pstate).coerce: run-time resolution's value movement,
 // with ownership tests charged as compute.
-func (w *walker) coerce(s *lstmt) error {
-	c := s.src.(*spmd.Coerce)
-	w.ops(2) // owner/needer membership tests
+func (w *walker) coerce(s *exec.LStmt) error {
+	c := s.Src.(*spmd.Coerce)
+	w.ops(s.Ops) // owner/needer membership tests
 	readSrc := func() {
 		w.mem(1)
 		if c.Array != "" {
-			w.ops(indexCost)
+			w.ops(exec.IndexCost)
 		}
 	}
 	switch {
 	case c.OwnerAll:
 		if c.NeederAll {
 			readSrc()
-			w.setUnknown(s.slot)
+			w.setUnknown(s.Dst)
 			return nil
 		}
-		needer, err := w.intOf(s.y)
+		needer, err := w.intOf(s.Y)
 		if err != nil {
 			return err
 		}
 		if needer == w.me {
 			readSrc()
-			w.setUnknown(s.slot)
+			w.setUnknown(s.Dst)
 		}
 		return nil
 	case c.NeederAll:
-		owner, err := w.intOf(s.x)
+		owner, err := w.intOf(s.X)
 		if err != nil {
 			return err
 		}
@@ -769,22 +586,22 @@ func (w *walker) coerce(s *lstmt) error {
 			readSrc()
 			for q := int64(0); q < int64(w.procs); q++ {
 				if q != w.me {
-					if err := w.send(q, s.tag, 1); err != nil {
+					if err := w.send(q, s.Tag, 1); err != nil {
 						return err
 					}
 				}
 			}
-		} else if err := w.recv(owner, s.tag, 1); err != nil {
+		} else if err := w.recv(owner, s.Tag, 1); err != nil {
 			return err
 		}
-		w.setUnknown(s.slot)
+		w.setUnknown(s.Dst)
 		return nil
 	default:
-		owner, err := w.intOf(s.x)
+		owner, err := w.intOf(s.X)
 		if err != nil {
 			return err
 		}
-		needer, err := w.intOf(s.y)
+		needer, err := w.intOf(s.Y)
 		if err != nil {
 			return err
 		}
@@ -792,16 +609,16 @@ func (w *walker) coerce(s *lstmt) error {
 		case owner == needer:
 			if owner == w.me {
 				readSrc()
-				w.setUnknown(s.slot)
+				w.setUnknown(s.Dst)
 			}
 		case owner == w.me:
 			readSrc()
-			return w.send(needer, s.tag, 1)
+			return w.send(needer, s.Tag, 1)
 		case needer == w.me:
-			if err := w.recv(owner, s.tag, 1); err != nil {
+			if err := w.recv(owner, s.Tag, 1); err != nil {
 				return err
 			}
-			w.setUnknown(s.slot)
+			w.setUnknown(s.Dst)
 		}
 		return nil
 	}

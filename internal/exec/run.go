@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"procdecomp/internal/dist"
-	"procdecomp/internal/expr"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/lang"
 	"procdecomp/internal/machine"
@@ -53,9 +52,12 @@ func RunSPMDCtx(ctx context.Context, progs []*spmd.Program, cfg machine.Config, 
 
 func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istruct.Matrix) (*SPMDOutcome, error) {
 	pick := func(p int) *spmd.Program { return progs[p] }
+	lower := func(p int) *Lowered { return Lower(progs[p]) }
 	switch {
 	case len(progs) == 1 && progs[0].Proc < 0:
 		pick = func(int) *spmd.Program { return progs[0] }
+		generic := Lower(progs[0])
+		lower = func(int) *Lowered { return generic }
 	case len(progs) == cfg.Procs:
 		for i, pr := range progs {
 			if pr.Proc != i {
@@ -69,27 +71,38 @@ func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istru
 	m := machine.New(cfg)
 	states := make([]*pstate, cfg.Procs)
 	for i := range states {
-		states[i] = newPState(pick(i), i)
+		states[i] = newPState(pick(i), lower(i), i)
 	}
-	// Scatter input arrays (setup, not timed).
+	// Scatter input arrays (setup, not timed). Every program of one run is
+	// compiled from the same procedure, so a parameter name means one global
+	// array under one mapping: one pass over it builds all S pieces.
+	type pieces struct {
+		local []*istruct.Matrix
+		errs  []error
+	}
+	scattered := map[string]pieces{}
 	for i, st := range states {
 		for _, prm := range st.prog.Params {
-			g, ok := inputs[prm.Name]
+			sc, ok := scattered[prm.Name]
 			if !ok {
-				return nil, fmt.Errorf("exec: no input supplied for parameter %s", prm.Name)
+				g, ok := inputs[prm.Name]
+				if !ok {
+					return nil, fmt.Errorf("exec: no input supplied for parameter %s", prm.Name)
+				}
+				sc.local, sc.errs = scatterAll(g, prm.Dist, cfg.Procs)
+				scattered[prm.Name] = sc
 			}
-			lp, serr := scatter(g, prm.Dist, int64(i))
-			if serr != nil {
-				return nil, fmt.Errorf("exec: parameter %s: %w", prm.Name, serr)
+			if err := sc.errs[i]; err != nil {
+				return nil, fmt.Errorf("exec: parameter %s: %w", prm.Name, err)
 			}
-			st.arrays[prm.Name] = lp
+			st.arrays[slotOf(st.lp.Arrays, prm.Name)] = sc.local[i]
 		}
 	}
 
 	err := m.Run(func(p *machine.Proc) {
 		st := states[p.ID()]
 		st.p = p
-		st.exec(st.prog.Body)
+		st.exec(st.lp.Body)
 	})
 	if err != nil {
 		return nil, err
@@ -122,8 +135,8 @@ func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istru
 			if o.ScalarDist != nil && o.ScalarDist.Kind() == dist.KindSingle {
 				owner, _ = dist.ProcOf(o.ScalarDist)
 			}
-			iv, ok := states[owner].ivars[o.Name]
-			if !ok || !iv.Defined() {
+			iv := states[owner].ivar(o.Name)
+			if iv == nil || !iv.Defined() {
 				return nil, fmt.Errorf("exec: output scalar %s undefined on process %d", o.Name, owner)
 			}
 			v, _ := iv.Read()
@@ -133,36 +146,59 @@ func runSPMD(progs []*spmd.Program, cfg machine.Config, inputs map[string]*istru
 	return out, nil
 }
 
-// scatter builds process p's local piece of a global input array. A mapping
-// that is inconsistent with the array — a degenerate local allocation, or a
-// local index outside it — is reported as an error naming the array, the
-// mapping, and the offending element, so callers (and ultimately
-// `pdrun -check`) can surface it instead of crashing on a raw panic.
-func scatter(g *istruct.Matrix, d dist.Dist, p int64) (*istruct.Matrix, error) {
+// scatterAll builds every process's local piece of a global input array in
+// one pass over it; replicated elements go to every piece. A mapping that is
+// inconsistent with the array — a degenerate local allocation, or a local
+// index outside it — is reported in errs[p] for each process p it breaks
+// (the first failure in row-major order), naming the array, the mapping and
+// the offending element, so callers (and ultimately `pdrun -check`) can
+// surface it instead of crashing on a raw panic.
+func scatterAll(g *istruct.Matrix, d dist.Dist, procs int) (local []*istruct.Matrix, errs []error) {
+	local, errs = make([]*istruct.Matrix, procs), make([]error, procs)
 	ls := d.LocalShape()
-	local, err := istruct.NewMatrix(g.Name(), ls[0], ls[1])
-	if err != nil {
-		return nil, fmt.Errorf("scatter %s under %s: local allocation %v: %w", g.Name(), d, ls, err)
+	for p := range local {
+		var err error
+		if local[p], err = istruct.NewMatrix(g.Name(), ls[0], ls[1]); err != nil {
+			err = fmt.Errorf("scatter %s under %s: local allocation %v: %w", g.Name(), d, ls, err)
+			for p := range errs {
+				errs[p] = err
+			}
+			return local, errs
+		}
 	}
+	put := func(p, i, j int64, v Value, l []int64) {
+		if errs[p] != nil {
+			return
+		}
+		if err := local[p].Write(l[0], l[1], v); err != nil {
+			errs[p] = fmt.Errorf("scatter %s[%d,%d] under %s to process %d at local [%d,%d]: %w",
+				g.Name(), i, j, d, p, l[0], l[1], err)
+		}
+	}
+	idx := make([]int64, 2)
 	rows, cols := g.Rows(), g.Cols()
 	for i := int64(1); i <= rows; i++ {
 		for j := int64(1); j <= cols; j++ {
-			owner := d.Owner([]int64{i, j})
-			if owner != p && owner != dist.All {
-				continue
-			}
 			if !g.Defined(i, j) {
 				continue
 			}
+			idx[0], idx[1] = i, j
+			owner := d.Owner(idx)
+			if owner != dist.All && (owner < 0 || owner >= int64(procs)) {
+				continue
+			}
 			v, _ := g.Read(i, j)
-			l := d.Local([]int64{i, j})
-			if err := local.Write(l[0], l[1], v); err != nil {
-				return nil, fmt.Errorf("scatter %s[%d,%d] under %s to process %d at local [%d,%d]: %w",
-					g.Name(), i, j, d, p, l[0], l[1], err)
+			l := d.Local(idx)
+			if owner != dist.All {
+				put(owner, i, j, v, l)
+				continue
+			}
+			for p := int64(0); p < int64(procs); p++ {
+				put(p, i, j, v, l)
 			}
 		}
 	}
-	return local, nil
+	return local, errs
 }
 
 // gather reassembles a global array from the owners' local pieces. Vectors
@@ -178,20 +214,24 @@ func gather(states []*pstate, name string, info spmd.ArrayInfo) (*istruct.Matrix
 		return nil, err
 	}
 	d := info.Dist
+	idx := make([]int64, len(shape))
+	locals := make([]*istruct.Matrix, len(states)) // resolved on first use
 	for i := int64(1); i <= rows; i++ {
 		for j := int64(1); j <= cols; j++ {
-			idx := []int64{i, j}
-			if len(shape) == 1 {
-				idx = []int64{i}
+			idx[0] = i
+			if len(shape) == 2 {
+				idx[1] = j
 			}
 			owner := d.Owner(idx)
 			if owner == dist.All {
 				owner = 0
 			}
-			st := states[owner]
-			local, ok := st.arrays[name]
-			if !ok {
-				return nil, fmt.Errorf("exec: process %d never allocated %s", owner, name)
+			local := locals[owner]
+			if local == nil {
+				if local = states[owner].array(name); local == nil {
+					return nil, fmt.Errorf("exec: process %d never allocated %s", owner, name)
+				}
+				locals[owner] = local
 			}
 			l := d.Local(idx)
 			li, lj := l[0], int64(1)
@@ -210,86 +250,104 @@ func gather(states []*pstate, name string, info spmd.ArrayInfo) (*istruct.Matrix
 	return g, nil
 }
 
-// pstate is one process's interpreter state.
+// pstate is one process's interpreter state over a lowered program: every
+// name was resolved to a slot once, so execution indexes slices.
 type pstate struct {
-	prog   *spmd.Program
-	me     int64
-	p      *machine.Proc
-	arrays map[string]*istruct.Matrix
-	ivars  map[string]*istruct.IVar
-	bufs   map[string][]Value
-	vars   map[string]Value
-	ienv   expr.Env // integer view of vars + loop variables + me
+	prog *spmd.Program
+	lp   *Lowered
+	me   int64
+	p    *machine.Proc
+	// Per scalar slot: the integer view (me, temporaries, I-variables and
+	// loop variables) with its bound flags, the mutable temporaries' data
+	// values with theirs, and the write-once I-variables.
+	ints  []int64
+	bound []bool
+	vals  []Value
+	isVar []bool
+	ivars []*istruct.IVar
+	// Per array and buffer slot; nil until allocated.
+	arrays []*istruct.Matrix
+	bufs   [][]Value
+	binErr func(string) // EvalBin's failure report
 }
 
-func newPState(prog *spmd.Program, me int) *pstate {
+func newPState(prog *spmd.Program, lp *Lowered, me int) *pstate {
+	n := len(lp.Names)
 	st := &pstate{
-		prog:   prog,
-		me:     int64(me),
-		arrays: map[string]*istruct.Matrix{},
-		ivars:  map[string]*istruct.IVar{},
-		bufs:   map[string][]Value{},
-		vars:   map[string]Value{},
-		ienv:   expr.Env{},
+		prog: prog, lp: lp, me: int64(me),
+		ints: make([]int64, n), bound: make([]bool, n),
+		vals: make([]Value, n), isVar: make([]bool, n),
+		ivars:  make([]*istruct.IVar, n),
+		arrays: make([]*istruct.Matrix, len(lp.Arrays)),
+		bufs:   make([][]Value, len(lp.Bufs)),
 	}
-	st.ienv[spmd.Me] = int64(me)
+	st.ints[MeSlot], st.bound[MeSlot] = int64(me), true
+	st.binErr = func(msg string) { st.failf("process %d: %s", st.me, msg) }
 	return st
+}
+
+// array returns the named array's local piece, nil if never allocated.
+func (st *pstate) array(name string) *istruct.Matrix {
+	if s := slotOf(st.lp.Arrays, name); s >= 0 {
+		return st.arrays[s]
+	}
+	return nil
+}
+
+// ivar returns the named I-variable, nil if never written.
+func (st *pstate) ivar(name string) *istruct.IVar {
+	if s := slotOf(st.lp.Names, name); s >= 0 {
+		return st.ivars[s]
+	}
+	return nil
 }
 
 func (st *pstate) failf(format string, args ...any) {
 	panic(fmt.Errorf(format, args...))
 }
 
-func (st *pstate) setVar(name string, v Value) {
-	st.vars[name] = v
-	st.ienv[name] = int64(v)
+func (st *pstate) setVar(s int, v Value) {
+	st.vals[s], st.isVar[s] = v, true
+	st.ints[s], st.bound[s] = int64(v), true
 }
 
-func (st *pstate) intOf(e expr.Expr) int64 {
-	v, err := e.Eval(st.ienv)
+func (st *pstate) intOf(x *LExpr) int64 {
+	if x.ID < 0 {
+		return x.Val
+	}
+	if v, ok := x.Code.Eval(st.ints, st.bound); ok {
+		return v
+	}
+	v, err := x.Src.Eval(st.lp.Env(st.ints, st.bound))
 	if err != nil {
 		st.failf("process %d: %v", st.me, err)
 	}
 	return v
 }
 
-// vexprOps counts operator nodes, for cost accounting.
-func vexprOps(v spmd.VExpr) int64 {
-	switch v := v.(type) {
-	case spmd.VBin:
-		return 1 + vexprOps(v.L) + vexprOps(v.R)
-	case spmd.VUn:
-		return 1 + vexprOps(v.X)
-	default:
-		return 0
-	}
-}
-
-func (st *pstate) evalV(v spmd.VExpr) Value {
-	switch v := v.(type) {
-	case spmd.VConst:
+func (st *pstate) evalV(v *LVal) Value {
+	switch v.Kind {
+	case ValConst:
 		return v.F
-	case spmd.VVar:
-		if val, ok := st.vars[v.Name]; ok {
-			return val
+	case ValVar:
+		if st.isVar[v.Slot] {
+			return st.vals[v.Slot]
 		}
-		if iv, ok := st.ivars[v.Name]; ok {
+		if iv := st.ivars[v.Slot]; iv != nil {
 			val, err := iv.Read()
 			if err != nil {
 				st.failf("process %d: %v", st.me, err)
 			}
 			return val
 		}
-		st.failf("process %d: undefined variable %s", st.me, v.Name)
+		st.failf("process %d: undefined variable %s", st.me, st.lp.Names[v.Slot])
 		return 0
-	case spmd.VInt:
+	case ValInt:
 		return Value(st.intOf(v.X))
-	case spmd.VBin:
-		return EvalBin(v.Op, st.evalV(v.L), st.evalV(v.R), func(msg string) {
-			st.failf("process %d: %s", st.me, msg)
-		})
-	case spmd.VUn:
-		x := st.evalV(v.X)
+	case ValBin:
+		return EvalBin(v.Op, st.evalV(v.L), st.evalV(v.R), st.binErr)
+	case ValUn:
+		x := st.evalV(v.L)
 		if v.Op == lang.OpNeg {
 			return -x
 		}
@@ -298,154 +356,154 @@ func (st *pstate) evalV(v spmd.VExpr) Value {
 		}
 		return 1
 	default:
-		st.failf("process %d: unknown value expression %T", st.me, v)
+		st.failf("process %d: unknown value expression %T", st.me, v.Src)
 		return 0
 	}
 }
 
-func (st *pstate) exec(body []spmd.Stmt) {
-	for _, s := range body {
-		st.stmt(s)
+func (st *pstate) exec(body []LStmt) {
+	for i := range body {
+		st.stmt(&body[i])
 	}
 }
 
-// indexCost is the flat operation charge for computing one array or buffer
-// subscript (the local-index arithmetic of the paper's column_local).
-const indexCost = 2
-
-func (st *pstate) stmt(s spmd.Stmt) {
-	switch s := s.(type) {
-	case *spmd.Alloc:
-		switch len(s.Shape) {
+func (st *pstate) stmt(s *LStmt) {
+	switch s.Kind {
+	case LAlloc:
+		var rows, cols int64
+		switch len(s.Idx) {
 		case 2:
-			m, err := istruct.NewMatrix(s.Array, st.intOf(s.Shape[0]), st.intOf(s.Shape[1]))
-			if err != nil {
-				st.failf("process %d: %v", st.me, err)
-			}
-			st.arrays[s.Array] = m
+			rows, cols = st.intOf(s.Idx[0]), st.intOf(s.Idx[1])
 		case 1:
-			m, err := istruct.NewMatrix(s.Array, st.intOf(s.Shape[0]), 1)
-			if err != nil {
-				st.failf("process %d: %v", st.me, err)
-			}
-			st.arrays[s.Array] = m
+			rows, cols = st.intOf(s.Idx[0]), 1
 		default:
-			st.failf("process %d: alloc of rank %d", st.me, len(s.Shape))
+			st.failf("process %d: alloc of rank %d", st.me, len(s.Idx))
 		}
-	case *spmd.AllocBuf:
-		st.bufs[s.Buf] = make([]Value, st.intOf(s.Size)+1) // 1-based
-	case *spmd.AssignVar:
-		st.p.Ops(vexprOps(s.Val))
-		st.setVar(s.Name, st.evalV(s.Val))
-	case *spmd.AssignIVar:
-		st.p.Ops(vexprOps(s.Val))
+		m, err := istruct.NewMatrix(st.lp.Arrays[s.Ref], rows, cols)
+		if err != nil {
+			st.failf("process %d: %v", st.me, err)
+		}
+		st.arrays[s.Ref] = m
+	case LAllocBuf:
+		st.bufs[s.Ref] = make([]Value, st.intOf(s.X)+1) // 1-based
+	case LAssignVar:
+		st.p.Ops(s.Ops)
+		st.setVar(s.Dst, st.evalV(s.Val))
+	case LAssignIVar:
+		st.p.Ops(s.Ops)
 		v := st.evalV(s.Val)
-		iv, ok := st.ivars[s.Name]
-		if !ok {
-			iv = istruct.NewIVar(s.Name)
-			st.ivars[s.Name] = iv
+		iv := st.ivars[s.Dst]
+		if iv == nil {
+			iv = istruct.NewIVar(st.lp.Names[s.Dst])
+			st.ivars[s.Dst] = iv
 		}
 		if err := iv.Write(v); err != nil {
 			st.failf("process %d: %v", st.me, err)
 		}
-		st.ienv[s.Name] = int64(v)
-	case *spmd.ARead:
-		st.p.Ops(indexCost)
+		st.ints[s.Dst], st.bound[s.Dst] = int64(v), true
+	case LARead:
+		st.p.Ops(s.Ops)
 		st.p.Mem(1)
-		st.setVar(s.Dst, st.aread(s.Array, s.Idx))
-	case *spmd.AWrite:
-		st.p.Ops(indexCost + vexprOps(s.Val))
+		st.setVar(s.Dst, st.aread(s.Ref, s.Idx))
+	case LAWrite:
+		st.p.Ops(s.Ops)
 		st.p.Mem(1)
-		st.awrite(s.Array, s.Idx, st.evalV(s.Val))
-	case *spmd.BufRead:
-		st.p.Ops(indexCost)
+		st.awrite(s.Ref, s.Idx, st.evalV(s.Val))
+	case LBufRead:
+		st.p.Ops(s.Ops)
 		st.p.Mem(1)
-		buf := st.buf(s.Buf)
-		i := st.intOf(s.Idx)
-		st.checkBuf(s.Buf, buf, i)
+		buf := st.buf(s.Ref)
+		i := st.intOf(s.X)
+		st.checkBuf(s.Ref, buf, i)
 		st.setVar(s.Dst, buf[i])
-	case *spmd.BufWrite:
-		st.p.Ops(indexCost + vexprOps(s.Val))
+	case LBufWrite:
+		st.p.Ops(s.Ops)
 		st.p.Mem(1)
-		buf := st.buf(s.Buf)
-		i := st.intOf(s.Idx)
-		st.checkBuf(s.Buf, buf, i)
+		buf := st.buf(s.Ref)
+		i := st.intOf(s.X)
+		st.checkBuf(s.Ref, buf, i)
 		buf[i] = st.evalV(s.Val)
-	case *spmd.Send:
-		st.p.Ops(vexprOps(s.Val))
-		st.p.Send(int(st.intOf(s.Dst)), s.Tag, st.evalV(s.Val))
-	case *spmd.Recv:
-		v := st.p.Recv1(int(st.intOf(s.Src)), s.Tag)
+	case LSend:
+		st.p.Ops(s.Ops)
+		st.p.Send(int(st.intOf(s.X)), s.Tag, st.evalV(s.Val))
+	case LRecv:
+		v := st.p.Recv1(int(st.intOf(s.X)), s.Tag)
 		st.setVar(s.Dst, v)
-	case *spmd.SendBuf:
-		buf := st.buf(s.Buf)
-		lo, hi := st.intOf(s.Lo), st.intOf(s.Hi)
-		st.checkBuf(s.Buf, buf, lo)
-		st.checkBuf(s.Buf, buf, hi)
-		st.p.Send(int(st.intOf(s.Dst)), s.Tag, buf[lo:hi+1]...)
-	case *spmd.RecvBuf:
-		buf := st.buf(s.Buf)
-		lo, hi := st.intOf(s.Lo), st.intOf(s.Hi)
-		st.checkBuf(s.Buf, buf, lo)
-		st.checkBuf(s.Buf, buf, hi)
-		vals := st.p.Recv(int(st.intOf(s.Src)), s.Tag)
+	case LSendBuf:
+		buf := st.buf(s.Ref)
+		lo, hi := st.intOf(s.Y), st.intOf(s.Z)
+		st.checkBuf(s.Ref, buf, lo)
+		st.checkBuf(s.Ref, buf, hi)
+		st.p.Send(int(st.intOf(s.X)), s.Tag, buf[lo:hi+1]...)
+	case LRecvBuf:
+		buf := st.buf(s.Ref)
+		lo, hi := st.intOf(s.Y), st.intOf(s.Z)
+		st.checkBuf(s.Ref, buf, lo)
+		st.checkBuf(s.Ref, buf, hi)
+		vals := st.p.Recv(int(st.intOf(s.X)), s.Tag)
 		if int64(len(vals)) != hi-lo+1 {
-			st.failf("process %d: block receive of %d values into %s[%d..%d]", st.me, len(vals), s.Buf, lo, hi)
+			st.failf("process %d: block receive of %d values into %s[%d..%d]", st.me, len(vals), st.lp.Bufs[s.Ref], lo, hi)
 		}
 		copy(buf[lo:hi+1], vals)
-	case *spmd.Coerce:
+	case LCoerce:
 		st.coerce(s)
-	case *spmd.For:
-		lo, hi, step := st.intOf(s.Lo), st.intOf(s.Hi), st.intOf(s.Step)
+	case LFor:
+		lo, hi, step := st.intOf(s.X), st.intOf(s.Y), st.intOf(s.Z)
 		if step <= 0 {
 			st.failf("process %d: loop step %d", st.me, step)
 		}
 		for x := lo; x <= hi; x += step {
 			st.p.LoopStep()
-			st.vars[s.Var] = Value(x)
-			st.ienv[s.Var] = x
+			st.vals[s.Dst], st.isVar[s.Dst] = Value(x), true
+			st.ints[s.Dst], st.bound[s.Dst] = x, true
 			st.exec(s.Body)
 		}
-	case *spmd.Guard:
-		st.p.Ops(1) // the mynode() test of run-time resolution
-		if st.intOf(s.Proc) == st.me {
+	case LGuard:
+		st.p.Ops(s.Ops) // the mynode() test of run-time resolution
+		if st.intOf(s.X) == st.me {
 			st.exec(s.Body)
 		}
-	case *spmd.IfValue:
-		st.p.Ops(vexprOps(s.Cond))
-		if st.evalV(s.Cond) != 0 {
-			st.exec(s.Then)
+	case LIf:
+		st.p.Ops(s.Ops)
+		if st.evalV(s.Val) != 0 {
+			st.exec(s.Body)
 		} else {
 			st.exec(s.Else)
 		}
 	default:
-		st.failf("process %d: unknown statement %T", st.me, s)
+		st.failf("process %d: unknown statement %T", st.me, s.Src)
 	}
 }
 
-func (st *pstate) buf(name string) []Value {
-	b, ok := st.bufs[name]
-	if !ok {
-		st.failf("process %d: undefined buffer %s", st.me, name)
+func (st *pstate) buf(s int) []Value {
+	b := st.bufs[s]
+	if b == nil {
+		st.failf("process %d: undefined buffer %s", st.me, st.lp.Bufs[s])
 	}
 	return b
 }
 
-func (st *pstate) checkBuf(name string, buf []Value, i int64) {
+func (st *pstate) checkBuf(s int, buf []Value, i int64) {
 	if i < 1 || i >= int64(len(buf)) {
-		st.failf("process %d: buffer %s index %d out of range [1,%d]", st.me, name, i, len(buf)-1)
+		st.failf("process %d: buffer %s index %d out of range [1,%d]", st.me, st.lp.Bufs[s], i, len(buf)-1)
 	}
 }
 
-func (st *pstate) aread(name string, idx []expr.Expr) Value {
-	arr, ok := st.arrays[name]
-	if !ok {
-		st.failf("process %d: undefined array %s", st.me, name)
+// subscript evaluates an array access's local index.
+func (st *pstate) subscript(a int, idx []*LExpr) (*istruct.Matrix, int64, int64) {
+	arr := st.arrays[a]
+	if arr == nil {
+		st.failf("process %d: undefined array %s", st.me, st.lp.Arrays[a])
 	}
 	i, j := st.intOf(idx[0]), int64(1)
 	if len(idx) == 2 {
 		j = st.intOf(idx[1])
 	}
+	return arr, i, j
+}
+
+func (st *pstate) aread(a int, idx []*LExpr) Value {
+	arr, i, j := st.subscript(a, idx)
 	v, err := arr.Read(i, j)
 	if err != nil {
 		st.failf("process %d: %v", st.me, err)
@@ -453,52 +511,47 @@ func (st *pstate) aread(name string, idx []expr.Expr) Value {
 	return v
 }
 
-func (st *pstate) awrite(name string, idx []expr.Expr, v Value) {
-	arr, ok := st.arrays[name]
-	if !ok {
-		st.failf("process %d: undefined array %s", st.me, name)
-	}
-	i, j := st.intOf(idx[0]), int64(1)
-	if len(idx) == 2 {
-		j = st.intOf(idx[1])
-	}
+func (st *pstate) awrite(a int, idx []*LExpr, v Value) {
+	arr, i, j := st.subscript(a, idx)
 	if err := arr.Write(i, j, v); err != nil {
 		st.failf("process %d: %v", st.me, err)
 	}
 }
 
+// coerceSrc reads a coerce's source on its owner.
+func (st *pstate) coerceSrc(s *LStmt, c *spmd.Coerce) Value {
+	st.p.Mem(1)
+	if c.Array != "" {
+		st.p.Ops(IndexCost)
+		return st.aread(s.Ref, s.Idx)
+	}
+	iv := st.ivars[s.Ref]
+	if iv == nil {
+		st.failf("process %d: coerce of undefined scalar %s", st.me, c.Var)
+	}
+	v, err := iv.Read()
+	if err != nil {
+		st.failf("process %d: %v", st.me, err)
+	}
+	return v
+}
+
 // coerce implements run-time resolution's value movement (§3.1). Every
 // process executes the statement and plays its role; the ownership tests are
 // charged as compute.
-func (st *pstate) coerce(s *spmd.Coerce) {
-	st.p.Ops(2) // owner/needer membership tests
-	readSrc := func() Value {
-		st.p.Mem(1)
-		if s.Array != "" {
-			st.p.Ops(indexCost)
-			return st.aread(s.Array, s.Idx)
-		}
-		iv, ok := st.ivars[s.Var]
-		if !ok {
-			st.failf("process %d: coerce of undefined scalar %s", st.me, s.Var)
-		}
-		v, err := iv.Read()
-		if err != nil {
-			st.failf("process %d: %v", st.me, err)
-		}
-		return v
-	}
-
+func (st *pstate) coerce(s *LStmt) {
+	c := s.Src.(*spmd.Coerce)
+	st.p.Ops(s.Ops) // owner/needer membership tests
 	switch {
-	case s.OwnerAll:
+	case c.OwnerAll:
 		// Replicated source: everyone who needs it reads its own copy.
-		if s.NeederAll || st.intOf(s.Needer) == st.me {
-			st.setVar(s.Dst, readSrc())
+		if c.NeederAll || st.intOf(s.Y) == st.me {
+			st.setVar(s.Dst, st.coerceSrc(s, c))
 		}
-	case s.NeederAll:
-		owner := st.intOf(s.Owner)
+	case c.NeederAll:
+		owner := st.intOf(s.X)
 		if owner == st.me {
-			v := readSrc()
+			v := st.coerceSrc(s, c)
 			for q := 0; q < st.p.Procs(); q++ {
 				if int64(q) != st.me {
 					st.p.Send(q, s.Tag, v)
@@ -509,14 +562,14 @@ func (st *pstate) coerce(s *spmd.Coerce) {
 			st.setVar(s.Dst, st.p.Recv1(int(owner), s.Tag))
 		}
 	default:
-		owner, needer := st.intOf(s.Owner), st.intOf(s.Needer)
+		owner, needer := st.intOf(s.X), st.intOf(s.Y)
 		switch {
 		case owner == needer:
 			if owner == st.me {
-				st.setVar(s.Dst, readSrc())
+				st.setVar(s.Dst, st.coerceSrc(s, c))
 			}
 		case owner == st.me:
-			st.p.Send(int(needer), s.Tag, readSrc())
+			st.p.Send(int(needer), s.Tag, st.coerceSrc(s, c))
 		case needer == st.me:
 			st.setVar(s.Dst, st.p.Recv1(int(owner), s.Tag))
 		}

@@ -32,21 +32,49 @@ type Outcome struct {
 	Ret    ArgVal
 }
 
-// binding is one scope entry of the sequential interpreter.
-type binding struct {
-	sym    *sem.Symbol
-	ivar   *istruct.IVar   // scalars (single-assignment)
-	loop   *Value          // loop variables (mutable)
-	matrix *istruct.Matrix // arrays
+// The reference interpreter does not walk the AST. Each procedure is
+// lowered once per run (seqInterp.lower): every *sem.Symbol it declares
+// resolves to a frame slot, constants fold to their values, and every
+// statement and expression becomes a closure over the frame. A call
+// allocates one frame; executing a statement or evaluating an expression
+// makes no symbol or name lookup. A slot is reset each time its let
+// statement runs, so a let inside a loop body gets a fresh write-once
+// variable per iteration, as a fresh scope would give it (sem forbids
+// shadowing, so one slot per symbol is enough).
+
+// cell is one frame slot: a scalar I-variable, a loop variable, or an array.
+type cell struct {
+	ivar   istruct.IVar
+	loop   Value
+	matrix *istruct.Matrix
 	vector *istruct.Vector
 }
 
-type seqInterp struct {
-	info   *sem.Info
-	scopes []map[string]*binding
+// frame is one procedure activation.
+type frame struct {
+	cells  []cell
+	ret    ArgVal
+	hasRet bool
 }
 
-type returnSignal struct{ val ArgVal }
+// Lowered code: a statement reports whether a return statement ran.
+type (
+	seqStmt func(fr *frame) bool
+	seqExpr func(fr *frame) Value
+)
+
+// seqProc is a lowered procedure.
+type seqProc struct {
+	proc   *sem.Proc
+	params []int // frame slots of the parameters
+	size   int   // frame slots
+	body   seqStmt
+}
+
+type seqInterp struct {
+	info  *sem.Info
+	procs map[*sem.Proc]*seqProc
+}
 
 // RunSequential interprets procedure procName of the checked program with
 // the given arguments, using the reference (single machine, global arrays)
@@ -60,7 +88,7 @@ func RunSequential(info *sem.Info, procName string, args []ArgVal) (out *Outcome
 	if len(args) != len(p.Params) {
 		return nil, fmt.Errorf("exec: %s expects %d argument(s), got %d", procName, len(p.Params), len(args))
 	}
-	it := &seqInterp{info: info}
+	it := &seqInterp{info: info, procs: map[*sem.Proc]*seqProc{}}
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok {
@@ -70,7 +98,7 @@ func RunSequential(info *sem.Info, procName string, args []ArgVal) (out *Outcome
 			panic(r)
 		}
 	}()
-	ret, hasRet := it.call(p, args)
+	ret, hasRet := it.call(it.lower(p), args)
 	return &Outcome{HasRet: hasRet, Ret: ret}, nil
 }
 
@@ -80,251 +108,360 @@ func (it *seqInterp) fail(pos lang.Pos, format string, args ...any) {
 
 func (it *seqInterp) failErr(err error) { panic(err) }
 
-func (it *seqInterp) call(p *sem.Proc, args []ArgVal) (ArgVal, bool) {
-	saved := it.scopes
-	it.scopes = []map[string]*binding{{}}
-	defer func() { it.scopes = saved }()
-
+func (it *seqInterp) call(sp *seqProc, args []ArgVal) (ArgVal, bool) {
+	p := sp.proc
+	fr := &frame{cells: make([]cell, sp.size)}
 	for i, prm := range p.Params {
-		b := &binding{sym: prm}
+		c := &fr.cells[sp.params[i]]
 		a := args[i]
 		switch {
 		case prm.Type.Base == lang.TMatrix:
 			if a.Matrix == nil {
 				it.fail(p.Decl.Pos, "argument %d of %s must be a matrix", i+1, p.Name)
 			}
-			b.matrix = a.Matrix
+			c.matrix = a.Matrix
 		case prm.Type.Base == lang.TVector:
 			if a.Vector == nil {
 				it.fail(p.Decl.Pos, "argument %d of %s must be a vector", i+1, p.Name)
 			}
-			b.vector = a.Vector
+			c.vector = a.Vector
 		default:
-			b.ivar = istruct.NewIVar(prm.Name)
-			if err := b.ivar.Write(a.Scalar); err != nil {
+			c.ivar = *istruct.NewIVar(prm.Name)
+			if err := c.ivar.Write(a.Scalar); err != nil {
 				it.failErr(err)
 			}
 		}
-		it.scopes[0][prm.Name] = b
 	}
+	sp.body(fr)
+	return fr.ret, fr.hasRet
+}
 
-	var ret ArgVal
-	hasRet := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if sig, ok := r.(returnSignal); ok {
-					ret, hasRet = sig.val, true
-					return
-				}
-				panic(r)
+// lower returns p's lowering, building it on first use. The procedure is
+// registered before its body is lowered, so a recursive call site finds it.
+func (it *seqInterp) lower(p *sem.Proc) *seqProc {
+	if sp, ok := it.procs[p]; ok {
+		return sp
+	}
+	sp := &seqProc{proc: p}
+	it.procs[p] = sp
+	l := &seqLowerer{it: it, slots: map[*sem.Symbol]int{}}
+	for _, prm := range p.Params {
+		sp.params = append(sp.params, l.slot(prm))
+	}
+	sp.body = l.block(p.Decl.Body)
+	sp.size = len(l.slots)
+	return sp
+}
+
+// seqLowerer lowers one procedure.
+type seqLowerer struct {
+	it    *seqInterp
+	slots map[*sem.Symbol]int
+}
+
+func (l *seqLowerer) slot(sym *sem.Symbol) int {
+	k, ok := l.slots[sym]
+	if !ok {
+		k = len(l.slots)
+		l.slots[sym] = k
+	}
+	return k
+}
+
+func (l *seqLowerer) block(b *lang.Block) seqStmt {
+	stmts := make([]seqStmt, len(b.Stmts))
+	for i, st := range b.Stmts {
+		stmts[i] = l.stmt(st)
+	}
+	return func(fr *frame) bool {
+		for _, s := range stmts {
+			if s(fr) {
+				return true
 			}
-		}()
-		it.block(p.Decl.Body)
-	}()
-	return ret, hasRet
-}
-
-func (it *seqInterp) pushScope() { it.scopes = append(it.scopes, map[string]*binding{}) }
-func (it *seqInterp) popScope()  { it.scopes = it.scopes[:len(it.scopes)-1] }
-
-func (it *seqInterp) lookup(name string) *binding {
-	for i := len(it.scopes) - 1; i >= 0; i-- {
-		if b, ok := it.scopes[i][name]; ok {
-			return b
 		}
-	}
-	return nil
-}
-
-func (it *seqInterp) block(b *lang.Block) {
-	it.pushScope()
-	defer it.popScope()
-	for _, st := range b.Stmts {
-		it.stmt(st)
+		return false
 	}
 }
 
-func (it *seqInterp) stmt(st lang.Stmt) {
+func (l *seqLowerer) stmt(st lang.Stmt) seqStmt {
+	it := l.it
 	switch st := st.(type) {
 	case *lang.LetStmt:
 		sym := it.info.SymbolOf(st)
-		b := &binding{sym: sym}
+		k := l.slot(sym)
+		name := st.Name
 		switch {
 		case sym.Kind == sem.SymArray:
 			if _, isAlloc := st.Init.(*lang.AllocExpr); isAlloc {
+				dims := sym.Type.Dims
 				if sym.Type.Base == lang.TMatrix {
-					m, err := istruct.NewMatrix(st.Name, sym.Type.Dims[0], sym.Type.Dims[1])
-					if err != nil {
-						it.failErr(err)
+					return func(fr *frame) bool {
+						m, err := istruct.NewMatrix(name, dims[0], dims[1])
+						if err != nil {
+							it.failErr(err)
+						}
+						fr.cells[k] = cell{matrix: m}
+						return false
 					}
-					b.matrix = m
-				} else {
-					v, err := istruct.NewVector(st.Name, sym.Type.Dims[0])
-					if err != nil {
-						it.failErr(err)
-					}
-					b.vector = v
 				}
-			} else {
-				// Array-valued call.
-				call := st.Init.(*lang.CallExpr)
-				rv := it.evalCall(call)
-				b.matrix, b.vector = rv.Matrix, rv.Vector
+				return func(fr *frame) bool {
+					v, err := istruct.NewVector(name, dims[0])
+					if err != nil {
+						it.failErr(err)
+					}
+					fr.cells[k] = cell{vector: v}
+					return false
+				}
+			}
+			// Array-valued call.
+			call := l.callExpr(st.Init.(*lang.CallExpr))
+			return func(fr *frame) bool {
+				rv := call(fr)
+				fr.cells[k] = cell{matrix: rv.Matrix, vector: rv.Vector}
+				return false
 			}
 		default:
-			b.ivar = istruct.NewIVar(st.Name)
-			if err := b.ivar.Write(it.eval(st.Init)); err != nil {
-				it.failErr(err)
+			init := l.expr(st.Init)
+			return func(fr *frame) bool {
+				c := &fr.cells[k]
+				c.ivar = *istruct.NewIVar(name)
+				if err := c.ivar.Write(init(fr)); err != nil {
+					it.failErr(err)
+				}
+				return false
 			}
 		}
-		it.scopes[len(it.scopes)-1][st.Name] = b
 	case *lang.AssignStmt:
-		b := it.lookup(st.Name)
-		v := it.eval(st.Value)
-		if err := b.ivar.Write(v); err != nil {
-			it.failErr(err)
+		k := l.slot(it.info.SymbolOf(st))
+		val := l.expr(st.Value)
+		return func(fr *frame) bool {
+			v := val(fr)
+			if err := fr.cells[k].ivar.Write(v); err != nil {
+				it.failErr(err)
+			}
+			return false
 		}
 	case *lang.StoreStmt:
-		b := it.lookup(st.Array)
-		v := it.eval(st.Value)
-		if b.matrix != nil {
-			i, j := it.evalInt(st.Indices[0]), it.evalInt(st.Indices[1])
-			if err := b.matrix.Write(i, j, v); err != nil {
-				it.failErr(err)
+		k := l.slot(it.info.SymbolOf(st))
+		val := l.expr(st.Value)
+		idx := l.exprs(st.Indices)
+		return func(fr *frame) bool {
+			c := &fr.cells[k]
+			v := val(fr)
+			if c.matrix != nil {
+				i, j := int64(idx[0](fr)), int64(idx[1](fr))
+				if err := c.matrix.Write(i, j, v); err != nil {
+					it.failErr(err)
+				}
+			} else {
+				i := int64(idx[0](fr))
+				if err := c.vector.Write(i, v); err != nil {
+					it.failErr(err)
+				}
 			}
-		} else {
-			i := it.evalInt(st.Indices[0])
-			if err := b.vector.Write(i, v); err != nil {
-				it.failErr(err)
-			}
+			return false
 		}
 	case *lang.ForStmt:
-		lo, hi := it.evalInt(st.Lo), it.evalInt(st.Hi)
-		step := int64(1)
+		k := l.slot(it.info.SymbolOf(st))
+		lo, hi := l.expr(st.Lo), l.expr(st.Hi)
+		var step seqExpr
 		if st.Step != nil {
-			step = it.evalInt(st.Step)
-			if step <= 0 {
-				it.fail(st.Pos, "loop step must be positive, got %d", step)
+			step = l.expr(st.Step)
+		}
+		body := l.block(st.Body)
+		pos := st.Pos
+		return func(fr *frame) bool {
+			lo, hi := int64(lo(fr)), int64(hi(fr))
+			inc := int64(1)
+			if step != nil {
+				inc = int64(step(fr))
+				if inc <= 0 {
+					it.fail(pos, "loop step must be positive, got %d", inc)
+				}
 			}
+			for x := lo; x <= hi; x += inc {
+				fr.cells[k].loop = Value(x)
+				if body(fr) {
+					return true
+				}
+			}
+			return false
 		}
-		v := Value(0)
-		b := &binding{sym: it.info.SymbolOf(st), loop: &v}
-		it.pushScope()
-		it.scopes[len(it.scopes)-1][st.Var] = b
-		for x := lo; x <= hi; x += step {
-			v = Value(x)
-			it.block(st.Body)
-		}
-		it.popScope()
 	case *lang.IfStmt:
-		if it.eval(st.Cond) != 0 {
-			it.block(st.Then)
-		} else if st.Else != nil {
-			it.block(st.Else)
+		cond, then := l.expr(st.Cond), l.block(st.Then)
+		var els seqStmt
+		if st.Else != nil {
+			els = l.block(st.Else)
+		}
+		return func(fr *frame) bool {
+			if cond(fr) != 0 {
+				return then(fr)
+			}
+			return els != nil && els(fr)
 		}
 	case *lang.CallStmt:
-		it.doCall(st.Pos, st.Name, st.Args)
+		call := l.call(st.Name, st.Args)
+		return func(fr *frame) bool {
+			call(fr)
+			return false
+		}
 	case *lang.ReturnStmt:
 		if st.Value == nil {
-			panic(returnSignal{})
-		}
-		if vr, ok := st.Value.(*lang.VarRef); ok {
-			if b := it.lookup(vr.Name); b != nil && b.sym.Kind == sem.SymArray {
-				panic(returnSignal{val: ArgVal{Matrix: b.matrix, Vector: b.vector}})
+			return func(fr *frame) bool {
+				fr.ret, fr.hasRet = ArgVal{}, true
+				return true
 			}
 		}
-		panic(returnSignal{val: ArgVal{IsScal: true, Scalar: it.eval(st.Value)}})
+		if vr, ok := st.Value.(*lang.VarRef); ok {
+			if sym := it.info.SymbolOf(vr); sym.Kind == sem.SymArray {
+				k := l.slot(sym)
+				return func(fr *frame) bool {
+					c := &fr.cells[k]
+					fr.ret, fr.hasRet = ArgVal{Matrix: c.matrix, Vector: c.vector}, true
+					return true
+				}
+			}
+		}
+		val := l.expr(st.Value)
+		return func(fr *frame) bool {
+			fr.ret, fr.hasRet = ArgVal{IsScal: true, Scalar: val(fr)}, true
+			return true
+		}
 	default:
-		it.fail(st.Position(), "unsupported statement in interpreter")
-	}
-}
-
-func (it *seqInterp) doCall(pos lang.Pos, name string, args []lang.Expr) (ArgVal, bool) {
-	callee := it.info.Procs[name]
-	vals := make([]ArgVal, len(args))
-	for i, a := range args {
-		prm := callee.Params[i]
-		if prm.Type.IsArray() {
-			b := it.lookup(a.(*lang.VarRef).Name)
-			vals[i] = ArgVal{Matrix: b.matrix, Vector: b.vector}
-		} else {
-			vals[i] = ArgVal{IsScal: true, Scalar: it.eval(a)}
+		pos := st.Position()
+		return func(*frame) bool {
+			it.fail(pos, "unsupported statement in interpreter")
+			return false
 		}
 	}
-	return it.call(callee, vals)
 }
 
-func (it *seqInterp) evalCall(e *lang.CallExpr) ArgVal {
-	rv, ok := it.doCall(e.Pos, e.Name, e.Args)
-	if !ok {
-		it.fail(e.Pos, "procedure %s did not return a value", e.Name)
+// call lowers a call site: array arguments pass their frame's arrays,
+// scalars their values.
+func (l *seqLowerer) call(name string, args []lang.Expr) func(fr *frame) (ArgVal, bool) {
+	it := l.it
+	callee := it.lower(it.info.Procs[name])
+	argv := make([]func(fr *frame) ArgVal, len(args))
+	for i, a := range args {
+		if callee.proc.Params[i].Type.IsArray() {
+			k := l.slot(it.info.SymbolOf(a.(*lang.VarRef)))
+			argv[i] = func(fr *frame) ArgVal {
+				c := &fr.cells[k]
+				return ArgVal{Matrix: c.matrix, Vector: c.vector}
+			}
+		} else {
+			x := l.expr(a)
+			argv[i] = func(fr *frame) ArgVal { return ArgVal{IsScal: true, Scalar: x(fr)} }
+		}
 	}
-	return rv
+	return func(fr *frame) (ArgVal, bool) {
+		vals := make([]ArgVal, len(argv))
+		for i, a := range argv {
+			vals[i] = a(fr)
+		}
+		return it.call(callee, vals)
+	}
 }
 
-func (it *seqInterp) evalInt(e lang.Expr) int64 {
-	v := it.eval(e)
-	return int64(v)
+// callExpr lowers a call whose value is used.
+func (l *seqLowerer) callExpr(e *lang.CallExpr) func(fr *frame) ArgVal {
+	call := l.call(e.Name, e.Args)
+	return func(fr *frame) ArgVal {
+		rv, ok := call(fr)
+		if !ok {
+			l.it.fail(e.Pos, "procedure %s did not return a value", e.Name)
+		}
+		return rv
+	}
 }
 
-func (it *seqInterp) eval(e lang.Expr) Value {
+func (l *seqLowerer) exprs(es []lang.Expr) []seqExpr {
+	out := make([]seqExpr, len(es))
+	for i, e := range es {
+		out[i] = l.expr(e)
+	}
+	return out
+}
+
+func (l *seqLowerer) expr(e lang.Expr) seqExpr {
+	it := l.it
 	switch e := e.(type) {
 	case *lang.NumLit:
-		return e.Val
+		v := e.Val
+		return func(*frame) Value { return v }
 	case *lang.BoolLit:
+		v := Value(0)
 		if e.Val {
-			return 1
+			v = 1
 		}
-		return 0
+		return func(*frame) Value { return v }
 	case *lang.VarRef:
 		sym := it.info.SymbolOf(e)
 		if sym.Kind == sem.SymConst {
-			return sym.Const
+			v := sym.Const
+			return func(*frame) Value { return v }
 		}
-		b := it.lookup(e.Name)
-		if b.loop != nil {
-			return *b.loop
+		k := l.slot(sym)
+		if sym.Kind == sem.SymLoopVar {
+			return func(fr *frame) Value { return fr.cells[k].loop }
 		}
-		v, err := b.ivar.Read()
-		if err != nil {
-			it.failErr(err)
-		}
-		return v
-	case *lang.IndexExpr:
-		b := it.lookup(e.Array)
-		if b.matrix != nil {
-			v, err := b.matrix.Read(it.evalInt(e.Indices[0]), it.evalInt(e.Indices[1]))
+		return func(fr *frame) Value {
+			v, err := fr.cells[k].ivar.Read()
 			if err != nil {
 				it.failErr(err)
 			}
 			return v
 		}
-		v, err := b.vector.Read(it.evalInt(e.Indices[0]))
-		if err != nil {
-			it.failErr(err)
+	case *lang.IndexExpr:
+		k := l.slot(it.info.SymbolOf(e))
+		idx := l.exprs(e.Indices)
+		return func(fr *frame) Value {
+			c := &fr.cells[k]
+			if c.matrix != nil {
+				v, err := c.matrix.Read(int64(idx[0](fr)), int64(idx[1](fr)))
+				if err != nil {
+					it.failErr(err)
+				}
+				return v
+			}
+			v, err := c.vector.Read(int64(idx[0](fr)))
+			if err != nil {
+				it.failErr(err)
+			}
+			return v
 		}
-		return v
 	case *lang.UnExpr:
-		x := it.eval(e.X)
+		x := l.expr(e.X)
 		if e.Op == lang.OpNeg {
-			return -x
+			return func(fr *frame) Value { return -x(fr) }
 		}
-		if x != 0 {
+		return func(fr *frame) Value {
+			if x(fr) != 0 {
+				return 0
+			}
+			return 1
+		}
+	case *lang.BinExpr:
+		x, y := l.expr(e.L), l.expr(e.R)
+		op, pos := e.Op, e.Pos
+		fail := func(msg string) { it.fail(pos, "%s", msg) }
+		return func(fr *frame) Value { return EvalBin(op, x(fr), y(fr), fail) }
+	case *lang.CallExpr:
+		call := l.callExpr(e)
+		pos := e.Pos
+		return func(fr *frame) Value {
+			rv := call(fr)
+			if !rv.IsScal {
+				it.fail(pos, "array-valued call used as a scalar")
+			}
+			return rv.Scalar
+		}
+	default:
+		pos := e.Position()
+		return func(*frame) Value {
+			it.fail(pos, "unsupported expression in interpreter")
 			return 0
 		}
-		return 1
-	case *lang.BinExpr:
-		return EvalBin(e.Op, it.eval(e.L), it.eval(e.R), func(msg string) { it.fail(e.Pos, "%s", msg) })
-	case *lang.CallExpr:
-		rv := it.evalCall(e)
-		if !rv.IsScal {
-			it.fail(e.Pos, "array-valued call used as a scalar")
-		}
-		return rv.Scalar
-	default:
-		it.fail(e.Position(), "unsupported expression in interpreter")
-		return 0
 	}
 }
 

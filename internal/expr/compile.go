@@ -2,7 +2,7 @@ package expr
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Compiled is an Expr lowered over integer slots: every free variable is
@@ -50,15 +50,15 @@ const (
 // variables. The result evaluates to exactly what Eval returns under the
 // matching environment, and fails exactly where Eval errors.
 func (e Expr) Compile(slot func(string) int) Compiled {
-	c := &compiler{slot: slot, seen: map[int]bool{}}
+	c := &compiler{slot: slot}
 	c.expr(e)
-	sort.Ints(c.out.slots)
+	slices.Sort(c.out.slots)
+	c.out.slots = slices.Compact(c.out.slots)
 	return c.out
 }
 
 type compiler struct {
 	slot func(string) int
-	seen map[int]bool
 	out  Compiled
 	sp   int
 }
@@ -81,10 +81,7 @@ func (c *compiler) expr(e Expr) {
 	for i, t := range e.terms {
 		if v, ok := t.atom.(varAtom); ok {
 			s := c.slot(string(v))
-			if !c.seen[s] {
-				c.seen[s] = true
-				c.out.slots = append(c.out.slots, s)
-			}
+			c.out.slots = append(c.out.slots, s) // deduplicated once compiled
 			if i == 0 {
 				c.emit(instr{op: opVar, slot: int32(s), arg: t.coef}, 1)
 			} else {

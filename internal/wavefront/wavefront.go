@@ -6,7 +6,7 @@
 // code is measured against in Figs. 6 and 7.
 //
 // Cost accounting mirrors the SPMD interpreter's (one Mem per I-structure
-// access plus a flat two-operation subscript charge, one Op per arithmetic
+// access plus exec.IndexCost per subscript, one Op per arithmetic
 // operator, one LoopStep per iteration), so the comparison with compiled
 // code is apples-to-apples.
 package wavefront
@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"procdecomp/internal/dist"
+	"procdecomp/internal/exec"
 	"procdecomp/internal/istruct"
 	"procdecomp/internal/machine"
 )
@@ -23,9 +24,6 @@ const (
 	tagOld int64 = iota + 1
 	tagNew
 )
-
-// indexCost mirrors exec's flat subscript charge.
-const indexCost = 2
 
 // Result carries the gathered output and the run's machine statistics.
 type Result struct {
@@ -143,7 +141,7 @@ func (nd *node) ownedCols() []int64 {
 }
 
 func (nd *node) read(p *machine.Proc, m *istruct.Matrix, i, lj int64) float64 {
-	p.Ops(indexCost)
+	p.Ops(exec.IndexCost)
 	p.Mem(1)
 	v, err := m.Read(i, lj)
 	if err != nil {
@@ -153,7 +151,7 @@ func (nd *node) read(p *machine.Proc, m *istruct.Matrix, i, lj int64) float64 {
 }
 
 func (nd *node) write(p *machine.Proc, m *istruct.Matrix, i, lj int64, v float64) {
-	p.Ops(indexCost)
+	p.Ops(exec.IndexCost)
 	p.Mem(1)
 	if err := m.Write(i, lj, v); err != nil {
 		panic(err)
